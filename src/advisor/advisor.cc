@@ -108,7 +108,7 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload) {
   // mid-pricing leaves a usable best-so-far table and the search then
   // stops at its first interrupt poll, still yielding a valid flagged
   // recommendation. Requires the cost cache (relevance bitmaps).
-  if (options_.decompose.enabled && evaluator.cost_cache().enabled()) {
+  if (options_.decompose.enabled && evaluator.cost_cache_enabled()) {
     XIA_ASSIGN_OR_RETURN(
         rec.pricing,
         evaluator.PriceBenefitTable(options_.decompose, &rec.dag, deadline));

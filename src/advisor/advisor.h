@@ -36,18 +36,19 @@ struct AdvisorOptions {
   /// path. Recommendations are identical at every width — parallel
   /// evaluations merge per-query results in query order.
   int threads = 0;
-  /// Signature-keyed what-if cost cache (advisor/cost_cache.h): queries
-  /// whose relevant-index set a configuration change cannot alter skip
-  /// re-optimization. Recommendations and costs are bit-identical either
-  /// way; this escape hatch exists for benchmarking and debugging.
+  /// Per-query what-if cost memo (ConfigurationEvaluator, benefit.h):
+  /// queries whose relevant-index set a configuration change cannot alter
+  /// skip re-optimization. Recommendations and costs are bit-identical
+  /// either way; this escape hatch exists for benchmarking and debugging.
   bool what_if_cost_cache = true;
-  /// External plan cache to use instead of a per-Recommend one. Must
-  /// outlive the Recommend() call and be bound to the same (database,
-  /// cost model) tuple. This is how xia::server shares one warm cache
-  /// across every session's advise: keys embed catalog-entry identities,
-  /// so equal keys imply bit-identical plans regardless of which session
-  /// inserted them — results are unchanged, only cache hit counts move.
-  /// When set, its enabled() flag overrides what_if_cost_cache.
+  /// External hit/miss ledger to count this Recommend()'s cost-memo
+  /// lookups on, instead of a per-Recommend one. Must outlive the
+  /// Recommend() call. xia::server passes one instance to every advise
+  /// so its `stats` add up all their what-if traffic. Only the counters
+  /// are shared: the memo's keys are ids local to one Recommend(), so
+  /// its entries stay private and die with it, and sharing the ledger
+  /// never changes a result. When set, its enabled() flag overrides
+  /// what_if_cost_cache.
   WhatIfCostCache* shared_cost_cache = nullptr;
   /// CoPhy-style atomic-benefit decomposition (advisor/benefit_table.h):
   /// when enabled (and the cost cache is on — decomposition needs its

@@ -47,7 +47,8 @@ ConfigurationEvaluator::ConfigurationEvaluator(
                                           : std::make_unique<WhatIfCostCache>(
                                                 use_cost_cache)),
       cost_cache_(shared_cost_cache ? shared_cost_cache
-                                    : owned_cost_cache_.get()) {
+                                    : owned_cost_cache_.get()),
+      cost_memo_(cost_cache_) {
   // Build the workload expression table: driving paths + predicates.
   for (size_t qi = 0; qi < workload_->queries().size(); ++qi) {
     const NormalizedQuery& nq = workload_->queries()[qi].normalized;
@@ -71,8 +72,8 @@ ConfigurationEvaluator::ConfigurationEvaluator(
   }
   if (!cost_cache_->enabled()) return;
 
-  // Precompute the cost-cache inputs up front: each query's fingerprint
-  // class (repeated workload queries share cached plans) and the
+  // Precompute the cost-memo inputs up front: each query's fingerprint
+  // class (repeated workload queries share cost records) and the
   // per-candidate × per-query match bitmap. Relevance uses the MATCHER's
   // semantics (IndexMatcher::CanServe) rather than Covers(): Covers is
   // the heuristic-search coverage notion and deliberately ignores, e.g.,
@@ -203,6 +204,32 @@ Result<QueryPlan> OptimizeWithFailpoint(
   return optimize();
 }
 
+/// Cost-memo key of one (query class, relevant candidate set) pair: the
+/// raw bytes of the ids. The ids are this evaluator's own numbering —
+/// the same pair means a different query and index set in any other
+/// evaluator — which is why the memo never outlives its evaluator.
+std::string MemoKey(int query_class, const std::vector<int>& relevant) {
+  std::string key(reinterpret_cast<const char*>(&query_class), sizeof(int));
+  key.append(reinterpret_cast<const char*>(relevant.data()),
+             sizeof(int) * relevant.size());
+  return key;
+}
+
+/// The part of a plan an Evaluation reads.
+CostRecord RecordFromPlan(const QueryPlan& plan) {
+  CostRecord record;
+  record.total_cost = plan.total_cost;
+  if (!plan.access.use_index) return record;
+  auto id = [](const std::string& name) {
+    return TryParseCandidateId(name).value_or(-1);
+  };
+  record.candidates[0] = id(plan.access.index_def.name);
+  if (plan.access.has_secondary) {
+    record.candidates[1] = id(plan.access.secondary.index_def.name);
+  }
+  return record;
+}
+
 }  // namespace
 
 Result<ConfigurationEvaluator::Evaluation>
@@ -255,16 +282,15 @@ ConfigurationEvaluator::EvaluateUncached(const std::vector<int>& sorted,
     const QueryPlan& plan = *plans[qi];
     eval.per_query_cost.push_back(plan.total_cost);
     eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, plan, &eval);
+    RecordUsedCandidates(sorted, RecordFromPlan(plan), &eval);
   }
   eval.update_cost = EstimateUpdateCost(sorted);
   return eval;
 }
 
 void ConfigurationEvaluator::RecordUsedCandidates(
-    const std::vector<int>& sorted, const QueryPlan& plan,
-    Evaluation* eval) const {
-  if (!plan.access.use_index) return;
+    const std::vector<int>& sorted, const CostRecord& record,
+    Evaluation* eval) {
   // An access path names a configuration candidate iff its name parses as
   // "cand<N>" AND N is one of the overlay ids this evaluation actually
   // added (`sorted` is sorted — CanonicalKey). Plans may equally well pick
@@ -272,20 +298,15 @@ void ConfigurationEvaluator::RecordUsedCandidates(
   // "candelabra", even "cand7extra"); those are not candidates and must
   // not be counted — the old std::stoi parse threw on the former and
   // silently credited candidate 7 for the latter.
-  auto record = [&](const std::string& name) {
-    std::optional<int> id = TryParseCandidateId(name);
-    if (id && std::binary_search(sorted.begin(), sorted.end(), *id)) {
-      eval->used_candidates.insert(*id);
+  for (int id : record.candidates) {
+    if (id >= 0 && std::binary_search(sorted.begin(), sorted.end(), id)) {
+      eval->used_candidates.insert(id);
     }
-  };
-  record(plan.access.index_def.name);
-  if (plan.access.has_secondary) {
-    record(plan.access.secondary.index_def.name);
   }
 }
 
 void ConfigurationEvaluator::CollectPlanTasks(
-    const std::vector<int>& sorted, std::vector<QueryPlan>& plans,
+    const std::vector<int>& sorted, std::vector<const CostRecord*>& records,
     std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
     std::unordered_map<std::string, size_t>& task_index) {
   const std::vector<Query>& queries = workload_->queries();
@@ -303,16 +324,10 @@ void ConfigurationEvaluator::CollectPlanTasks(
         task.relevant.push_back(c);
       }
     }
-    task.key = std::to_string(distinct_query_[qi]);
-    task.key.push_back('#');
-    for (int c : task.relevant) {
-      task.key += std::to_string(c);
-      task.key.push_back(',');
-    }
-    if (cost_cache_->Lookup(task.key, &plans[qi])) {
-      // Equal fingerprints guarantee equal plans; only the labels differ.
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
+    task.key = MemoKey(distinct_query_[qi], task.relevant);
+    // Equal fingerprints guarantee equal plans, hence equal records.
+    records[qi] = cost_memo_.Lookup(task.key);
+    if (records[qi] != nullptr) {
       plan_source[qi] = -1;
       continue;
     }
@@ -345,60 +360,64 @@ Result<QueryPlan> ConfigurationEvaluator::OptimizeRelevant(
 }
 
 Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::AssembleFromPlans(
-    const std::vector<int>& sorted, std::vector<QueryPlan>& plans,
+ConfigurationEvaluator::AssembleFromRecords(
+    const std::vector<int>& sorted,
+    const std::vector<const CostRecord*>& records,
     const std::vector<int>& plan_source,
-    const std::vector<Result<QueryPlan>>& task_plans) {
+    const std::vector<Result<CostRecord>>& task_records) {
   const std::vector<Query>& queries = workload_->queries();
   Evaluation eval;
+  eval.per_query_cost.reserve(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const CostRecord* record = records[qi];
     if (plan_source[qi] >= 0) {
-      const Result<QueryPlan>& computed =
-          task_plans[static_cast<size_t>(plan_source[qi])];
+      const Result<CostRecord>& computed =
+          task_records[static_cast<size_t>(plan_source[qi])];
       XIA_RETURN_IF_ERROR(computed.status());
-      plans[qi] = *computed;
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
+      record = &*computed;
     }
-    const QueryPlan& plan = plans[qi];
-    eval.per_query_cost.push_back(plan.total_cost);
-    eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, plan, &eval);
+    eval.per_query_cost.push_back(record->total_cost);
+    eval.workload_cost += queries[qi].weight * record->total_cost;
+    RecordUsedCandidates(sorted, *record, &eval);
   }
   eval.update_cost = EstimateUpdateCost(sorted);
   num_evaluations_.Increment();
   return eval;
 }
 
-size_t ConfigurationEvaluator::RunPlanTasks(
+void ConfigurationEvaluator::RunPlanTasks(
     const std::vector<PlanTask>& tasks, ThreadPool* task_pool,
-    bool honor_cancel, std::vector<Result<QueryPlan>>* task_plans) {
-  size_t lowest = ParallelForCancellable(
+    bool honor_cancel, std::vector<Result<CostRecord>>* task_records) {
+  ParallelForCancellable(
       task_pool, tasks.size(),
       [&](size_t ti) {
         if (honor_cancel && cancel_.Cancelled()) {
-          (*task_plans)[ti] =
+          (*task_records)[ti] =
               Status::Cancelled("what-if optimization cancelled");
           return true;  // External cancel, not the deterministic failure.
         }
-        (*task_plans)[ti] = OptimizeWithFailpoint(
+        Result<QueryPlan> plan = OptimizeWithFailpoint(
             tasks[ti].query, [&] { return OptimizeRelevant(tasks[ti]); });
-        return (*task_plans)[ti].ok();
+        if (!plan.ok()) {
+          (*task_records)[ti] = plan.status();
+          return false;
+        }
+        (*task_records)[ti] = RecordFromPlan(*plan);
+        return true;
       },
       [&](size_t ti) {
-        (*task_plans)[ti] = Status::Cancelled(
+        (*task_records)[ti] = Status::Cancelled(
             "cancelled: a lower-indexed what-if task failed first");
       });
-  // Insert surviving plans serially. Only tasks below the lowest failure
-  // hold plans (stragglers were normalized to Cancelled above), so the
-  // costcache.entries gauge depends on the failure point alone, never on
-  // scheduling.
+  // Insert surviving records serially. Only tasks below the lowest
+  // failure hold records (stragglers were normalized to Cancelled above),
+  // so the costcache.entries gauge depends on the failure point alone,
+  // never on scheduling.
   for (size_t ti = 0; ti < tasks.size(); ++ti) {
-    if ((*task_plans)[ti].ok()) {
-      cost_cache_->Insert(tasks[ti].key, *(*task_plans)[ti]);
+    if ((*task_records)[ti].ok()) {
+      cost_memo_.Insert(tasks[ti].key, *(*task_records)[ti]);
     }
   }
-  return lowest;
 }
 
 Result<ConfigurationEvaluator::Evaluation>
@@ -406,22 +425,22 @@ ConfigurationEvaluator::EvaluateWithCostCache(const std::vector<int>& sorted,
                                               bool parallel_tasks,
                                               bool honor_cancel) {
   const size_t num_queries = workload_->queries().size();
-  std::vector<QueryPlan> plans(num_queries);
+  std::vector<const CostRecord*> records(num_queries, nullptr);
   std::vector<int> plan_source(num_queries, -1);
   std::vector<PlanTask> tasks;
   std::unordered_map<std::string, size_t> task_index;
-  CollectPlanTasks(sorted, plans, plan_source, tasks, task_index);
+  CollectPlanTasks(sorted, records, plan_source, tasks, task_index);
 
-  std::vector<Result<QueryPlan>> task_plans(tasks.size(),
-                                            Status::Internal("not evaluated"));
+  std::vector<Result<CostRecord>> task_records(
+      tasks.size(), Status::Internal("not evaluated"));
   RunPlanTasks(tasks, parallel_tasks ? PlanTaskPool(tasks.size()) : nullptr,
-               honor_cancel, &task_plans);
-  return AssembleFromPlans(sorted, plans, plan_source, task_plans);
+               honor_cancel, &task_records);
+  return AssembleFromRecords(sorted, records, plan_source, task_records);
 }
 
 AdvisorCacheCounters ConfigurationEvaluator::cache_counters() const {
   AdvisorCacheCounters counters;
-  counters.cost = cost_cache_->stats();
+  counters.cost = cost_memo_.stats();
   counters.containment = cache_->stats();
   if (decomposed()) counters.benefit = benefit_table_->stats();
   return counters;
@@ -429,7 +448,7 @@ AdvisorCacheCounters ConfigurationEvaluator::cache_counters() const {
 
 obs::Snapshot ConfigurationEvaluator::DeterministicStats() const {
   obs::Snapshot snap;
-  CostCacheStats cost = cost_cache_->stats();
+  CostCacheStats cost = cost_memo_.stats();
   snap.counters["advisor.evaluations"] = num_evaluations_.Value();
   snap.counters["advisor.memo_hits"] = memo_hits_.Value();
   snap.counters["costcache.hits"] = cost.hits;
@@ -544,29 +563,29 @@ ConfigurationEvaluator::EvaluateMany(
     std::unordered_map<std::string, size_t> task_index;
     std::vector<std::vector<BenefitEntry>> miss_entries(misses.size());
     std::vector<std::vector<char>> miss_from_table(misses.size());
-    std::vector<std::vector<QueryPlan>> miss_plans(misses.size());
+    std::vector<std::vector<const CostRecord*>> miss_records(misses.size());
     std::vector<std::vector<int>> miss_plan_source(misses.size());
     for (size_t mi = 0; mi < misses.size(); ++mi) {
       miss_entries[mi].resize(num_queries);
       miss_from_table[mi].assign(num_queries, 0);
-      miss_plans[mi].resize(num_queries);
+      miss_records[mi].assign(num_queries, nullptr);
       miss_plan_source[mi].assign(num_queries, -1);
       CollectDecomposedWork(misses[mi].sorted, miss_entries[mi],
-                            miss_from_table[mi], miss_plans[mi],
+                            miss_from_table[mi], miss_records[mi],
                             miss_plan_source[mi], tasks, task_index);
     }
     benefit_table_->CountFallbackWhatIfs(tasks.size());
-    std::vector<Result<QueryPlan>> task_plans(
+    std::vector<Result<CostRecord>> task_records(
         tasks.size(), Status::Internal("not evaluated"));
     RunPlanTasks(tasks, PlanTaskPool(tasks.size()), /*honor_cancel=*/true,
-                 &task_plans);
+                 &task_records);
     for (size_t mi = 0; mi < misses.size(); ++mi) {
       misses[mi].result = AssembleDecomposed(
           misses[mi].sorted, miss_entries[mi], miss_from_table[mi],
-          miss_plans[mi], miss_plan_source[mi], task_plans);
+          miss_records[mi], miss_plan_source[mi], task_records);
     }
   } else if (cost_cache_->enabled()) {
-    // Cost-cache batch path: deduplicate (query, relevance signature)
+    // Cost-memo batch path: deduplicate (query, relevance signature)
     // plan tasks across ALL misses in one serial pass — a greedy round's
     // configurations overlap heavily, so most of the batch collapses onto
     // a few optimizer calls — then run the distinct tasks through one
@@ -576,22 +595,22 @@ ConfigurationEvaluator::EvaluateMany(
     const size_t num_queries = workload_->queries().size();
     std::vector<PlanTask> tasks;
     std::unordered_map<std::string, size_t> task_index;
-    std::vector<std::vector<QueryPlan>> miss_plans(misses.size());
+    std::vector<std::vector<const CostRecord*>> miss_records(misses.size());
     std::vector<std::vector<int>> miss_plan_source(misses.size());
     for (size_t mi = 0; mi < misses.size(); ++mi) {
-      miss_plans[mi].resize(num_queries);
+      miss_records[mi].assign(num_queries, nullptr);
       miss_plan_source[mi].assign(num_queries, -1);
-      CollectPlanTasks(misses[mi].sorted, miss_plans[mi],
+      CollectPlanTasks(misses[mi].sorted, miss_records[mi],
                        miss_plan_source[mi], tasks, task_index);
     }
-    std::vector<Result<QueryPlan>> task_plans(
+    std::vector<Result<CostRecord>> task_records(
         tasks.size(), Status::Internal("not evaluated"));
     RunPlanTasks(tasks, PlanTaskPool(tasks.size()), /*honor_cancel=*/true,
-                 &task_plans);
+                 &task_records);
     for (size_t mi = 0; mi < misses.size(); ++mi) {
       misses[mi].result =
-          AssembleFromPlans(misses[mi].sorted, miss_plans[mi],
-                            miss_plan_source[mi], task_plans);
+          AssembleFromRecords(misses[mi].sorted, miss_records[mi],
+                              miss_plan_source[mi], task_records);
     }
   } else {
     // One task per distinct miss; the per-query loop inside each stays
@@ -640,23 +659,17 @@ ConfigurationEvaluator::EvaluateMany(
 
 namespace {
 
-/// Table cell from a priced plan: exact cost + which subset members the
-/// plan's access path uses (the decomposed analogue of
+/// Table cell from a priced plan's record: exact cost + which subset
+/// members the plan's access path uses (the decomposed analogue of
 /// RecordUsedCandidates; `subset` is sorted).
-BenefitEntry EntryFromPlan(const std::vector<int>& subset,
-                           const QueryPlan& plan) {
+BenefitEntry EntryFromRecord(const std::vector<int>& subset,
+                             const CostRecord& record) {
   BenefitEntry entry;
-  entry.cost = plan.total_cost;
-  if (!plan.access.use_index) return entry;
-  auto record = [&](const std::string& name) {
-    std::optional<int> id = TryParseCandidateId(name);
-    if (id && std::binary_search(subset.begin(), subset.end(), *id)) {
-      entry.used.push_back(*id);
+  entry.cost = record.total_cost;
+  for (int id : record.candidates) {
+    if (id >= 0 && std::binary_search(subset.begin(), subset.end(), id)) {
+      entry.used.push_back(id);
     }
-  };
-  record(plan.access.index_def.name);
-  if (plan.access.has_secondary) {
-    record(plan.access.secondary.index_def.name);
   }
   std::sort(entry.used.begin(), entry.used.end());
   entry.used.erase(std::unique(entry.used.begin(), entry.used.end()),
@@ -696,8 +709,8 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
   if (opts.max_degree >= 2 && dag != nullptr) ancestors = DagAncestors(*dag);
 
   // Serial enumeration phase: every (class, subset) in deterministic
-  // class-major / size-ascending order, resolved against the (possibly
-  // pre-warmed, e.g. server-shared) cost cache before becoming a task.
+  // class-major / size-ascending order, resolved against this
+  // evaluator's cost memo before becoming a task.
   struct PricingTask {
     int cls;
     std::vector<int> subset;
@@ -719,13 +732,10 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
     for (std::vector<int>& subset : subsets) {
       PlanTask task;
       task.query = qi;
-      task.key = std::to_string(cls);
-      task.key.push_back('#');
-      task.key += BenefitTable::SubsetKey(subset);
-      QueryPlan plan;
-      if (cost_cache_->Lookup(task.key, &plan)) {
+      task.key = MemoKey(static_cast<int>(cls), subset);
+      if (const CostRecord* record = cost_memo_.Lookup(task.key)) {
         table->Insert(static_cast<int>(cls), subset,
-                      EntryFromPlan(subset, plan));
+                      EntryFromRecord(subset, *record));
         continue;
       }
       task.relevant = subset;
@@ -740,7 +750,7 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
   // the anytime knobs are polled, so an exhausted budget keeps the
   // already-priced prefix as a usable best-so-far table. Ungoverned runs
   // take one full-width batch — chunking changes scheduling only, never
-  // results: all cache lookups already happened above, and inserts land
+  // results: all memo lookups already happened above, and inserts land
   // in enumeration order either way.
   const bool governed = !deadline.infinite() || cancel_.CanBeCancelled();
   const size_t chunk =
@@ -762,24 +772,24 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
     size_t end = std::min(next + chunk, tasks.size());
     std::vector<PlanTask> batch(tasks.begin() + static_cast<long>(next),
                                 tasks.begin() + static_cast<long>(end));
-    std::vector<Result<QueryPlan>> batch_plans(
+    std::vector<Result<CostRecord>> batch_records(
         batch.size(), Status::Internal("not evaluated"));
     RunPlanTasks(batch, PlanTaskPool(batch.size()), /*honor_cancel=*/true,
-                 &batch_plans);
+                 &batch_records);
     for (size_t i = 0; i < batch.size(); ++i) {
-      const Result<QueryPlan>& plan = batch_plans[i];
-      if (plan.ok()) {
+      const Result<CostRecord>& record = batch_records[i];
+      if (record.ok()) {
         const PricingTask& info = task_info[next + i];
         table->Insert(info.cls, info.subset,
-                      EntryFromPlan(info.subset, *plan));
+                      EntryFromRecord(info.subset, *record));
         continue;
       }
-      if (plan.status().IsCancelled()) {
+      if (record.status().IsCancelled()) {
         // The external token fired mid-chunk: keep the priced prefix.
         stop = StopReason::kCancelled;
         break;
       }
-      return plan.status();  // Real optimizer failure: propagate.
+      return record.status();  // Real optimizer failure: propagate.
     }
     next = end;
   }
@@ -803,7 +813,7 @@ std::string ConfigurationEvaluator::DescribeDecomposition() const {
 
 void ConfigurationEvaluator::CollectDecomposedWork(
     const std::vector<int>& sorted, std::vector<BenefitEntry>& entries,
-    std::vector<char>& from_table, std::vector<QueryPlan>& plans,
+    std::vector<char>& from_table, std::vector<const CostRecord*>& records,
     std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
     std::unordered_map<std::string, size_t>& task_index) {
   const std::vector<Query>& queries = workload_->queries();
@@ -818,7 +828,7 @@ void ConfigurationEvaluator::CollectDecomposedWork(
     const int cls = distinct_query_[qi];
     // Exact cell first (the overlap itself is priced — a *precise* cost,
     // see benefit_table.h property 1), then the composed conservative
-    // bound, then the real what-if fallback through the cost cache. A
+    // bound, then the real what-if fallback through the cost memo. A
     // priced-degree overlap can still miss when pricing was truncated or
     // the class hit its subset cap; Compose covers those too.
     if (benefit_table_->Lookup(cls, task.relevant, &entries[qi])) {
@@ -832,15 +842,9 @@ void ConfigurationEvaluator::CollectDecomposedWork(
       benefit_table_->CountComposed();
       continue;
     }
-    task.key = std::to_string(cls);
-    task.key.push_back('#');
-    for (int c : task.relevant) {
-      task.key += std::to_string(c);
-      task.key.push_back(',');
-    }
-    if (cost_cache_->Lookup(task.key, &plans[qi])) {
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
+    task.key = MemoKey(cls, task.relevant);
+    records[qi] = cost_memo_.Lookup(task.key);
+    if (records[qi] != nullptr) {
       plan_source[qi] = -1;
       continue;
     }
@@ -853,11 +857,13 @@ void ConfigurationEvaluator::CollectDecomposedWork(
 Result<ConfigurationEvaluator::Evaluation>
 ConfigurationEvaluator::AssembleDecomposed(
     const std::vector<int>& sorted, const std::vector<BenefitEntry>& entries,
-    const std::vector<char>& from_table, std::vector<QueryPlan>& plans,
+    const std::vector<char>& from_table,
+    const std::vector<const CostRecord*>& records,
     const std::vector<int>& plan_source,
-    const std::vector<Result<QueryPlan>>& task_plans) {
+    const std::vector<Result<CostRecord>>& task_records) {
   const std::vector<Query>& queries = workload_->queries();
   Evaluation eval;
+  eval.per_query_cost.reserve(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     if (from_table[qi]) {
       const BenefitEntry& entry = entries[qi];
@@ -868,18 +874,16 @@ ConfigurationEvaluator::AssembleDecomposed(
       for (int id : entry.used) eval.used_candidates.insert(id);
       continue;
     }
+    const CostRecord* record = records[qi];
     if (plan_source[qi] >= 0) {
-      const Result<QueryPlan>& computed =
-          task_plans[static_cast<size_t>(plan_source[qi])];
+      const Result<CostRecord>& computed =
+          task_records[static_cast<size_t>(plan_source[qi])];
       XIA_RETURN_IF_ERROR(computed.status());
-      plans[qi] = *computed;
-      plans[qi].query_id = queries[qi].id;
-      plans[qi].query_text = queries[qi].text;
+      record = &*computed;
     }
-    const QueryPlan& plan = plans[qi];
-    eval.per_query_cost.push_back(plan.total_cost);
-    eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, plan, &eval);
+    eval.per_query_cost.push_back(record->total_cost);
+    eval.workload_cost += queries[qi].weight * record->total_cost;
+    RecordUsedCandidates(sorted, *record, &eval);
   }
   eval.update_cost = EstimateUpdateCost(sorted);
   num_evaluations_.Increment();
@@ -892,20 +896,21 @@ ConfigurationEvaluator::EvaluateDecomposed(const std::vector<int>& sorted,
   const size_t num_queries = workload_->queries().size();
   std::vector<BenefitEntry> entries(num_queries);
   std::vector<char> from_table(num_queries, 0);
-  std::vector<QueryPlan> plans(num_queries);
+  std::vector<const CostRecord*> records(num_queries, nullptr);
   std::vector<int> plan_source(num_queries, -1);
   std::vector<PlanTask> tasks;
   std::unordered_map<std::string, size_t> task_index;
-  CollectDecomposedWork(sorted, entries, from_table, plans, plan_source,
+  CollectDecomposedWork(sorted, entries, from_table, records, plan_source,
                         tasks, task_index);
   // Fallback what-ifs are counted here — the serial phase — as the calls
   // this configuration *issues* (cache-resolved queries create no task).
   benefit_table_->CountFallbackWhatIfs(tasks.size());
-  std::vector<Result<QueryPlan>> task_plans(tasks.size(),
-                                            Status::Internal("not evaluated"));
-  RunPlanTasks(tasks, PlanTaskPool(tasks.size()), honor_cancel, &task_plans);
-  return AssembleDecomposed(sorted, entries, from_table, plans, plan_source,
-                            task_plans);
+  std::vector<Result<CostRecord>> task_records(
+      tasks.size(), Status::Internal("not evaluated"));
+  RunPlanTasks(tasks, PlanTaskPool(tasks.size()), honor_cancel,
+               &task_records);
+  return AssembleDecomposed(sorted, entries, from_table, records, plan_source,
+                            task_records);
 }
 
 Result<double> ConfigurationEvaluator::BaselineCost() {

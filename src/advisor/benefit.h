@@ -41,15 +41,19 @@ namespace xia {
 /// parallel costs bit-identical to the serial (`threads == 1`) path.
 ///
 /// What-if cost caching (`use_cost_cache`, on by default): below the
-/// whole-configuration memo sits a signature-keyed per-query plan cache
-/// (advisor/cost_cache.h). A query's plan under a configuration depends
+/// whole-configuration memo sits a per-query cost memo (CostRecordMemo,
+/// advisor/cost_cache.h). A query's plan under a configuration depends
 /// only on the configuration's *relevant* candidates — those whose
 /// patterns can produce an index match for it — so the optimizer runs
-/// once per distinct (query, relevant-candidate-set) pair and every other
-/// (query, configuration) combination is a lookup. Results stay
-/// bit-identical to the uncached path (tests/cost_cache_test.cc), and
-/// cache hit/miss/bypass counts are deterministic at any thread count
-/// because lookups happen in serial dedup phases.
+/// once per distinct (query class, relevant-candidate-set) pair and every
+/// other (query, configuration) combination is a lookup of a 16-byte
+/// CostRecord (the plan's cost and the candidates it uses; the plan
+/// itself is dropped). Memo keys are candidate ids local to this
+/// evaluator, so the memo lives and dies with it: a key is valid only
+/// inside the evaluator that made it. Results stay bit-identical to the
+/// uncached path (tests/cost_cache_test.cc), and hit/miss/bypass counts
+/// are deterministic at any thread count because lookups happen in
+/// serial dedup phases.
 ///
 /// Decomposed mode (PriceBenefitTable, benefit_table.h): one step
 /// further than the cache — the what-if calls a search WOULD make are
@@ -83,13 +87,15 @@ class ConfigurationEvaluator {
   /// toggles the maintenance debit (ablation B). `threads` is the what-if
   /// fan-out width: 1 (the default) evaluates serially exactly as before,
   /// 0 resolves to std::thread::hardware_concurrency(). `use_cost_cache`
-  /// is the signature-keyed plan cache escape hatch; disabling it makes
+  /// is the per-query cost memo escape hatch; disabling it makes
   /// every evaluation re-optimize every query (counted as bypasses).
   /// `shared_cost_cache`, when non-null, replaces the evaluator's own
-  /// plan cache with an external one that outlives it (and whose
-  /// enabled() flag then overrides `use_cost_cache`) — how a server
-  /// shares one warm cache across many advises. Plans are bit-identical
-  /// either way; only hit/miss counts depend on prior warming.
+  /// hit/miss ledger with an external one that outlives it (and whose
+  /// enabled() flag then overrides `use_cost_cache`) — how a server adds
+  /// up the what-if traffic of many advises in one place. It is a
+  /// ledger only: the memoized costs stay inside this evaluator, because
+  /// their keys are ids no other evaluator shares, so the shared
+  /// instance never holds an entry and never changes a result.
   ConfigurationEvaluator(const Optimizer* optimizer, const Workload* workload,
                          const Catalog* base_catalog,
                          const std::vector<CandidateIndex>* candidates,
@@ -178,9 +184,12 @@ class ConfigurationEvaluator {
   /// Effective what-if fan-out width (>= 1).
   int threads() const { return threads_; }
 
-  /// The signature-keyed plan cache (disabled instances only count
-  /// bypasses).
-  const WhatIfCostCache& cost_cache() const { return *cost_cache_; }
+  /// Whether the per-query cost memo is on (the ledger's enabled()).
+  bool cost_cache_enabled() const { return cost_cache_->enabled(); }
+
+  /// The ledger's hit/miss/bypass counters, with `entries` = records in
+  /// this evaluator's cost memo.
+  CostCacheStats cost_stats() const { return cost_memo_.stats(); }
 
   /// Snapshot of both cache layers for search traces and bench output.
   AdvisorCacheCounters cache_counters() const;
@@ -204,7 +213,7 @@ class ConfigurationEvaluator {
   struct PlanTask {
     size_t query = 0;           // Representative workload query index.
     std::vector<int> relevant;  // Sorted relevant candidate ids (the sig).
-    std::string key;            // Cost-cache key.
+    std::string key;            // Cost-memo key.
   };
   const Optimizer* optimizer_;
   const Workload* workload_;
@@ -227,13 +236,15 @@ class ConfigurationEvaluator {
   // they are deterministic at any thread count.
   obs::Counter num_evaluations_{"advisor.evaluations"};
   obs::Counter memo_hits_{"advisor.memo_hits"};
-  /// The plan cache in use: owned_cost_cache_ (the pre-server default)
-  /// unless the constructor received an external shared one. Declared in
-  /// this order so cost_cache_ can be initialized from the owned cache.
+  /// The hit/miss ledger: owned_cost_cache_ unless the constructor
+  /// received an external shared one. Declared in this order so
+  /// cost_cache_ and cost_memo_ can be initialized from the owned cache.
   std::unique_ptr<WhatIfCostCache> owned_cost_cache_;
   WhatIfCostCache* cost_cache_;
-  /// Queries with equal fingerprints share a slot id (and thus cached
-  /// plans): distinct_query_[qi] indexes the query's equivalence class.
+  /// Per-(query class, relevant set) cost records, counted on cost_cache_.
+  CostRecordMemo cost_memo_;
+  /// Queries with equal fingerprints share a slot id (and thus cost
+  /// records): distinct_query_[qi] indexes the query's equivalence class.
   std::vector<int> distinct_query_;
   /// relevant_[c].Test(qi): candidate `c` can produce an index match for
   /// query `qi` (the per-candidate × per-query match bitmap, precomputed
@@ -281,12 +292,12 @@ class ConfigurationEvaluator {
                                            bool parallel_tasks,
                                            bool honor_cancel);
 
-  /// Serial phase 1: resolves each query of `sorted` from the cost cache
-  /// into `plans` or appends a deduplicated PlanTask. plan_source[qi] is
-  /// the task index that will produce the plan, or -1 when `plans[qi]`
-  /// is already filled from the cache.
+  /// Serial phase 1: resolves each query of `sorted` from the cost memo
+  /// into `records` or appends a deduplicated PlanTask. plan_source[qi]
+  /// is the task index that will produce the record, or -1 when
+  /// `records[qi]` already points into the memo.
   void CollectPlanTasks(const std::vector<int>& sorted,
-                        std::vector<QueryPlan>& plans,
+                        std::vector<const CostRecord*>& records,
                         std::vector<int>& plan_source,
                         std::vector<PlanTask>& tasks,
                         std::unordered_map<std::string, size_t>& task_index);
@@ -298,22 +309,22 @@ class ConfigurationEvaluator {
 
   /// Parallel phase 2: runs every PlanTask through OptimizeRelevant with
   /// first-failure sibling cancellation (ParallelForCancellable) and an
-  /// optional external-token check, then inserts the surviving plans into
-  /// the cost cache. Statuses, plans, and the cache entry count are
-  /// deterministic at any thread count: exactly the tasks below the
-  /// lowest failing index complete. Returns that lowest failing index
-  /// (SIZE_MAX when all succeeded).
-  size_t RunPlanTasks(const std::vector<PlanTask>& tasks,
-                      ThreadPool* task_pool, bool honor_cancel,
-                      std::vector<Result<QueryPlan>>* task_plans);
+  /// optional external-token check, keeps each plan's CostRecord, then
+  /// inserts the surviving records into the cost memo. Statuses, records,
+  /// and the memo size are deterministic at any thread count: exactly the
+  /// tasks below the lowest failing index complete.
+  void RunPlanTasks(const std::vector<PlanTask>& tasks, ThreadPool* task_pool,
+                    bool honor_cancel,
+                    std::vector<Result<CostRecord>>* task_records);
 
-  /// Serial phase 3: fills the remaining `plans` slots from `task_plans`
-  /// and folds the Evaluation in query order (the exact float-addition
-  /// order of the uncached path). Counts one configuration evaluation.
-  Result<Evaluation> AssembleFromPlans(
-      const std::vector<int>& sorted, std::vector<QueryPlan>& plans,
+  /// Serial phase 3: takes the remaining records from `task_records` and
+  /// folds the Evaluation in query order (the exact float-addition order
+  /// of the uncached path). Counts one configuration evaluation.
+  Result<Evaluation> AssembleFromRecords(
+      const std::vector<int>& sorted,
+      const std::vector<const CostRecord*>& records,
       const std::vector<int>& plan_source,
-      const std::vector<Result<QueryPlan>>& task_plans);
+      const std::vector<Result<CostRecord>>& task_records);
 
   /// Decomposed sibling of EvaluateWithCostCache: serial table resolve
   /// (exact hit → composed bound → what-if fallback task), parallel run
@@ -323,22 +334,23 @@ class ConfigurationEvaluator {
 
   /// Serial phase 1 of the decomposed path: resolves each query from the
   /// benefit table into `entries` (from_table[qi] = 1) or falls back to
-  /// the cost-cache/task machinery exactly like CollectPlanTasks. Counts
+  /// the cost-memo/task machinery exactly like CollectPlanTasks. Counts
   /// table hits and composed scores (this is the serial phase that makes
   /// the benefit.* counters thread-count deterministic).
   void CollectDecomposedWork(
       const std::vector<int>& sorted, std::vector<BenefitEntry>& entries,
-      std::vector<char>& from_table, std::vector<QueryPlan>& plans,
+      std::vector<char>& from_table, std::vector<const CostRecord*>& records,
       std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
       std::unordered_map<std::string, size_t>& task_index);
 
   /// Serial phase 3 of the decomposed path: folds table entries and
-  /// fallback plans in query order. Counts one configuration evaluation.
+  /// fallback records in query order. Counts one configuration evaluation.
   Result<Evaluation> AssembleDecomposed(
       const std::vector<int>& sorted, const std::vector<BenefitEntry>& entries,
-      const std::vector<char>& from_table, std::vector<QueryPlan>& plans,
+      const std::vector<char>& from_table,
+      const std::vector<const CostRecord*>& records,
       const std::vector<int>& plan_source,
-      const std::vector<Result<QueryPlan>>& task_plans);
+      const std::vector<Result<CostRecord>>& task_records);
 
   /// The lazily-spawned pool (null when threads_ == 1). Thread-safe.
   ThreadPool* pool();
@@ -349,13 +361,13 @@ class ConfigurationEvaluator {
   /// costs, and counters are identical either way.
   ThreadPool* PlanTaskPool(size_t tasks);
 
-  /// Folds the candidate ids used by `plan`'s access path into
+  /// Folds the candidate ids `record`'s plan uses into
   /// `eval->used_candidates`. Only overlay indexes of the configuration
   /// being evaluated (`sorted`) count: a *physical* catalog index whose
   /// name merely resembles the "cand<N>" overlay convention must not be
   /// attributed (regression: benefit_test.cc, PhysicalIndexNames*).
-  void RecordUsedCandidates(const std::vector<int>& sorted,
-                            const QueryPlan& plan, Evaluation* eval) const;
+  static void RecordUsedCandidates(const std::vector<int>& sorted,
+                                   const CostRecord& record, Evaluation* eval);
 
   double EstimateUpdateCost(const std::vector<int>& config) const;
 };

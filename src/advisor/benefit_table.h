@@ -101,8 +101,7 @@ class BenefitTable {
   BenefitTable(const BenefitTable&) = delete;
   BenefitTable& operator=(const BenefitTable&) = delete;
 
-  /// Canonical key of a sorted candidate subset ("1,5," — the cost-cache
-  /// signature tail, so the two key spaces stay visually alignable).
+  /// Canonical key of a sorted candidate subset ("1,5,").
   static std::string SubsetKey(const std::vector<int>& subset);
 
   /// Prices `subset` (sorted) for `query_class`. First insert wins.

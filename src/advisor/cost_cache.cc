@@ -1,6 +1,5 @@
 #include "advisor/cost_cache.h"
 
-#include <cstdio>
 #include <cstring>
 #include <functional>
 
@@ -22,15 +21,15 @@ void AppendDoubleBits(std::string* out, double v) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(bits));
-  out->append(buf);
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out->push_back(kHex[(bits >> shift) & 0xf]);
+  }
   out->push_back(kFieldSep);
 }
 
 void AppendPattern(std::string* out, const PathPattern& pattern) {
-  out->append(pattern.ToString());
+  pattern.AppendTo(out);
   out->push_back(kFieldSep);
 }
 
@@ -93,11 +92,27 @@ CostCacheStats WhatIfCostCache::stats() const {
   return s;
 }
 
-void WhatIfCostCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
+const CostRecord* CostRecordMemo::Lookup(const std::string& key) {
+  const CostRecord* record = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = records_.find(key);
+    if (it != records_.end()) record = &it->second;
   }
+  ledger_->CountLookup(record != nullptr);
+  return record;
+}
+
+void CostRecordMemo::Insert(const std::string& key, const CostRecord& record) {
+  std::lock_guard<std::mutex> lock(mu_);
+  records_.emplace(key, record);  // First insert wins.
+}
+
+CostCacheStats CostRecordMemo::stats() const {
+  CostCacheStats s = ledger_->stats();
+  std::lock_guard<std::mutex> lock(mu_);
+  s.entries = records_.size();
+  return s;
 }
 
 std::string QueryFingerprint(const NormalizedQuery& query) {
@@ -177,30 +192,6 @@ uint64_t PlanFingerprint(const QueryPlan& plan) {
   h = FnvDouble(h, plan.sort_cost);
   h = FnvDouble(h, plan.total_cost);
   return h;
-}
-
-std::string AdvisorCacheCounters::ToString() const {
-  std::string out = TraceLine();
-  out += "; containment-cache: " + std::to_string(containment.hits) +
-         " hits, " + std::to_string(containment.misses) + " misses, " +
-         std::to_string(containment.largest_shard) + " in largest of " +
-         std::to_string(containment.shards) + " shards";
-  if (benefit.entries > 0 || benefit.priced > 0) {
-    out += "; benefit-table: " + std::to_string(benefit.priced) +
-           " priced, " + std::to_string(benefit.table_hits) + " hits, " +
-           std::to_string(benefit.composed) + " composed, " +
-           std::to_string(benefit.fallback_whatifs) + " fallback what-ifs";
-    if (benefit.truncated) out += " (truncated)";
-  }
-  return out;
-}
-
-std::string AdvisorCacheCounters::TraceLine() const {
-  return "cost-cache: " + std::to_string(cost.hits) + " hits, " +
-         std::to_string(cost.misses) + " misses, " +
-         std::to_string(cost.bypasses) + " bypassed, " +
-         std::to_string(cost.entries) + " plans; containment-cache: " +
-         std::to_string(containment.entries) + " entries";
 }
 
 }  // namespace xia

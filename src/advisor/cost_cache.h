@@ -27,9 +27,11 @@ struct CostCacheStats {
 };
 
 /// Signature-keyed what-if plan memo — the CoPhy-style decoupling of
-/// per-query "atomic" cost estimation from configuration search.
+/// per-query "atomic" cost estimation from configuration search — and
+/// the hit/miss ledger of the advisor's evaluator-scoped memo below.
 ///
-/// A key is (query fingerprint, relevance signature): the signature names
+/// As a plan memo (WhatIfSession, EvaluateIndexesMode, DriftMonitor) a
+/// key is (query fingerprint, relevance signature): the signature names
 /// exactly the catalog entries whose patterns can produce an index match
 /// for the query (IndexMatcher::CanServe). Since the optimizer reads a
 /// catalog *only* through IndexMatcher::Match — entries that emit no
@@ -37,6 +39,13 @@ struct CostCacheStats {
 /// byte-identical optimizer input, hence a bit-identical QueryPlan. Two
 /// configurations differing only in indexes a query cannot see therefore
 /// share one cached optimization.
+///
+/// As a ledger (ConfigurationEvaluator, via CostRecordMemo) the instance
+/// stores nothing: the evaluator's keys are ids that mean something only
+/// inside that evaluator, so its records live and die with it, and this
+/// instance just counts each lookup as a hit or a miss. A server may
+/// pass one instance to every advise; its counters then add up the
+/// traffic of all of them, and it never holds an entry.
 ///
 /// An instance is bound to one (database, cost model, optimizer options)
 /// tuple — those are deliberately NOT part of the key; owners that could
@@ -64,15 +73,16 @@ class WhatIfCostCache {
   /// Memoizes `plan` under `key`; first insert wins. No-op when disabled.
   void Insert(const std::string& key, const QueryPlan& plan);
 
+  /// Counts one lookup whose answer the caller already holds: from a
+  /// memo outside this cache (the evaluator's CostRecordMemo), or from an
+  /// earlier Lookup of the same key in the same batch.
+  void CountLookup(bool hit) { (hit ? hits_ : misses_).Increment(); }
+
   /// Bulk bypass accounting for callers that skip per-query Lookups
   /// entirely when the cache is disabled.
   void AddBypasses(uint64_t n) { bypasses_.Add(n); }
 
   CostCacheStats stats() const;
-
-  /// Drops every cached plan (counters are kept). Must not race with
-  /// Lookup/Insert from other threads.
-  void Clear();
 
  private:
   static constexpr size_t kNumShards = 16;
@@ -88,6 +98,44 @@ class WhatIfCostCache {
   obs::Counter hits_{"costcache.hits"};
   obs::Counter misses_{"costcache.misses"};
   obs::Counter bypasses_{"costcache.bypasses"};
+};
+
+/// What a configuration evaluation reads from one what-if plan: its
+/// total cost and the candidate ids its index accesses name. The
+/// evaluator memoizes these 16 bytes instead of whole QueryPlans.
+struct CostRecord {
+  double total_cost = 0;
+  /// Ids parsed from the primary and secondary access index names
+  /// ("cand<N>" overlay names); -1 where the plan has no such access.
+  /// Not filtered by configuration: the reader decides which ids count.
+  std::array<int, 2> candidates = {-1, -1};
+};
+
+/// The evaluator-scoped what-if memo: one CostRecord per evaluator-local
+/// key (query class + relevant candidate ids, advisor/benefit.h). Lives
+/// exactly as long as its ConfigurationEvaluator, because the ids in its
+/// keys mean nothing to any other evaluator. Every Lookup is counted as
+/// a hit or a miss on `ledger`, which may be shared.
+///
+/// Thread-safe. Records are never erased or overwritten (first insert
+/// wins), so a returned pointer stays valid for the memo's lifetime.
+class CostRecordMemo {
+ public:
+  explicit CostRecordMemo(WhatIfCostCache* ledger) : ledger_(ledger) {}
+
+  /// The record under `key`, or null. Counts one hit or miss.
+  const CostRecord* Lookup(const std::string& key);
+
+  /// Memoizes `record` under `key`; first insert wins.
+  void Insert(const std::string& key, const CostRecord& record);
+
+  /// The ledger's counters, with `entries` = records in this memo.
+  CostCacheStats stats() const;
+
+ private:
+  WhatIfCostCache* ledger_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, CostRecord> records_;
 };
 
 /// Byte-exact fingerprint of every NormalizedQuery field the optimizer
@@ -138,16 +186,6 @@ struct AdvisorCacheCounters {
   ContainmentCacheStats containment;
   /// All-zero unless the evaluator ran decomposed (benefit_table.h).
   BenefitTableStats benefit;
-
-  /// Full rendering, including the timing-dependent containment hit/miss
-  /// split — for logs and bench output, not for determinism-checked
-  /// traces.
-  std::string ToString() const;
-
-  /// The deterministic subset (cost-cache hits/misses/bypasses and
-  /// containment entry count) — safe to embed in search traces that must
-  /// be identical at any thread count.
-  std::string TraceLine() const;
 };
 
 }  // namespace xia

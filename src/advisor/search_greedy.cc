@@ -89,7 +89,6 @@ void FinishSearchTrace(const ConfigurationEvaluator& evaluator,
     result->trace.push_back(line);
   }
   result->counters = evaluator.cache_counters();
-  result->trace.push_back(result->counters.TraceLine());
 }
 
 Result<SearchResult> GreedySearch(ConfigurationEvaluator* evaluator,

@@ -92,11 +92,9 @@ void TraceDecomposition(const ConfigurationEvaluator& evaluator,
                         SearchResult* result);
 
 /// Shared epilogue of every search strategy: fills `result->counters`
-/// and appends the final structured stats section to the trace — the
+/// and closes the trace with the structured stats section — the
 /// evaluator's deterministic obs::Snapshot (identical at any thread
-/// count; tests/parallel_eval_test.cc), closed by the legacy counter
-/// TraceLine, which stays the trace's last line
-/// (tests/cost_cache_test.cc relies on that).
+/// count; tests/parallel_eval_test.cc).
 void FinishSearchTrace(const ConfigurationEvaluator& evaluator,
                        SearchResult* result);
 

@@ -154,46 +154,45 @@ Result<EvaluateIndexesResult> EvaluateIndexesMode(
   std::vector<Result<QueryPlan>> plans(queries.size(),
                                        Status::Internal("not evaluated"));
   if (cost_cache != nullptr && cost_cache->enabled()) {
-    // Serial phase 1: resolve each query against the plan cache by its
-    // (fingerprint, relevance signature) key and deduplicate the misses.
-    // Keys here carry full entry identities (names + stats bits), so a
-    // cache outlives catalog edits without invalidation hooks.
-    struct Task {
-      size_t query;     // Representative query index.
-      std::string key;  // Cost-cache key.
+    // Serial phase 1: resolve each distinct query against the plan cache
+    // by its (fingerprint, relevance signature) key and collect the
+    // misses. Equal fingerprints have equal signatures by definition, so
+    // repeated workload queries share one key and one cache probe; each
+    // repeat still counts as a hit or miss of its own. Keys here carry
+    // full entry identities (names + stats bits), so a cache outlives
+    // catalog edits without invalidation hooks.
+    struct QueryClass {
+      size_t query = 0;     // Representative query index.
+      std::string key;      // Cost-cache key.
+      bool cached = false;  // `plan` came from the cache.
+      QueryPlan plan;
     };
     std::map<std::string, std::vector<const CatalogEntry*>> indexes_for;
-    std::vector<Task> tasks;
-    std::unordered_map<std::string, size_t> task_index;
-    // Signature memo: equal-fingerprint queries have equal relevance
-    // signatures by definition, so repeated workload queries compute the
-    // (comparatively expensive) signature once per distinct query.
-    std::unordered_map<std::string, std::string> key_by_fingerprint;
-    std::vector<int> plan_source(queries.size(), -1);
+    std::vector<QueryClass> classes;
+    std::unordered_map<std::string, size_t> class_by_fingerprint;
+    std::vector<size_t> class_of(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const NormalizedQuery& nq = queries[qi].normalized;
-      std::string fp = QueryFingerprint(nq);
-      auto [key_it, fresh] = key_by_fingerprint.try_emplace(std::move(fp));
-      if (fresh) {
-        auto [coll_it, first_seen] = indexes_for.try_emplace(nq.collection);
-        if (first_seen) coll_it->second = overlay.IndexesFor(nq.collection);
-        std::string key = key_it->first;
-        key.push_back('\n');
-        key += RelevanceSignature(nq, coll_it->second, cache);
-        key_it->second = std::move(key);
-      }
-      const std::string& key = key_it->second;
-      QueryPlan cached;
-      if (cost_cache->Lookup(key, &cached)) {
-        // Equal key ⇒ bit-identical plan; only the labels differ.
-        cached.query_id = queries[qi].id;
-        cached.query_text = queries[qi].text;
-        plans[qi] = std::move(cached);
+      auto [it, fresh] = class_by_fingerprint.try_emplace(
+          QueryFingerprint(nq), classes.size());
+      class_of[qi] = it->second;
+      if (!fresh) {
+        cost_cache->CountLookup(classes[it->second].cached);
         continue;
       }
-      auto [it, inserted] = task_index.emplace(key, tasks.size());
-      if (inserted) tasks.push_back(Task{qi, it->first});
-      plan_source[qi] = static_cast<int>(it->second);
+      auto [coll_it, first_seen] = indexes_for.try_emplace(nq.collection);
+      if (first_seen) coll_it->second = overlay.IndexesFor(nq.collection);
+      QueryClass cls;
+      cls.query = qi;
+      cls.key = it->first;
+      cls.key.push_back('\n');
+      cls.key += RelevanceSignature(nq, coll_it->second, cache);
+      cls.cached = cost_cache->Lookup(cls.key, &cls.plan);
+      classes.push_back(std::move(cls));
+    }
+    std::vector<size_t> tasks;  // Indices of the uncached classes.
+    for (size_t c = 0; c < classes.size(); ++c) {
+      if (!classes[c].cached) tasks.push_back(c);
     }
     // Parallel phase 2: optimize the distinct misses against the full
     // overlay. (The minimal-overlay trick the evaluator uses is an
@@ -208,9 +207,9 @@ Result<EvaluateIndexesResult> EvaluateIndexesMode(
     ParallelForCancellable(
         pool, tasks.size(),
         [&](size_t ti) {
+          size_t query = classes[tasks[ti]].query;
           task_plans[ti] = OptimizeQueryWithFailpoint(
-              optimizer, queries[tasks[ti].query], tasks[ti].query, overlay,
-              cache);
+              optimizer, queries[query], query, overlay, cache);
           return task_plans[ti].ok();
         },
         [&](size_t ti) {
@@ -218,16 +217,20 @@ Result<EvaluateIndexesResult> EvaluateIndexesMode(
               "cancelled: a lower-indexed what-if task failed first");
         });
     // Serial phase 3: memoize and distribute.
+    std::vector<const Result<QueryPlan>*> computed(classes.size(), nullptr);
     for (size_t ti = 0; ti < tasks.size(); ++ti) {
       if (task_plans[ti].ok()) {
-        cost_cache->Insert(tasks[ti].key, *task_plans[ti]);
+        cost_cache->Insert(classes[tasks[ti]].key, *task_plans[ti]);
       }
+      computed[tasks[ti]] = &task_plans[ti];
     }
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (plan_source[qi] < 0) continue;
-      const Result<QueryPlan>& computed =
-          task_plans[static_cast<size_t>(plan_source[qi])];
-      plans[qi] = computed;
+      const QueryClass& cls = classes[class_of[qi]];
+      if (cls.cached) {
+        plans[qi] = cls.plan;  // Equal key ⇒ bit-identical plan.
+      } else {
+        plans[qi] = *computed[class_of[qi]];
+      }
       if (plans[qi].ok()) {
         plans[qi]->query_id = queries[qi].id;
         plans[qi]->query_text = queries[qi].text;
@@ -249,6 +252,7 @@ Result<EvaluateIndexesResult> EvaluateIndexesMode(
         });
   }
   EvaluateIndexesResult result;
+  result.plans.reserve(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     XIA_RETURN_IF_ERROR(plans[qi].status());
     QueryPlan plan = std::move(*plans[qi]);

@@ -608,8 +608,8 @@ void CommandDispatcher::CmdAdvise(ClientSession* session, std::istream& args,
   } else {
     session->options.algorithm = SearchAlgorithm::kGreedyHeuristic;
   }
-  // Every session's advise funnels through the shared plan cache: a
-  // template one session priced is a cache hit for all the others.
+  // Every advise counts its what-if lookups on the shared ledger, so
+  // `stats` adds them up; the memo itself stays inside this advise.
   session->options.shared_cost_cache = &shared_->what_if_cache;
   Advisor advisor(&shared_->db, &shared_->catalog, session->options);
   Result<Recommendation> rec = advisor.Recommend(advised);

@@ -39,8 +39,7 @@ namespace server {
 /// may run/advise/explain concurrently while `gen`/`load`/`analyze`/
 /// `materialize`/`capture`/`drift` serialize against them. The caches
 /// (`containment`, `what_if_cache`, `buffer_pool`) are internally
-/// thread-safe and shared by design: one session's advise warms the
-/// plan cache every other session hits.
+/// thread-safe and shared by design.
 struct SharedState {
   Database db;
   Catalog catalog;
@@ -49,10 +48,10 @@ struct SharedState {
   /// verbs afterwards.
   AdvisorOptions default_options;
   ContainmentCache containment;
-  /// Signature-keyed what-if plan cache shared by every session's
-  /// `advise` (via AdvisorOptions::shared_cost_cache). Safe to share:
-  /// keys embed catalog-entry identities, so equal keys imply
-  /// bit-identical plans no matter which session inserted them.
+  /// What-if hit/miss ledger every session's `advise` counts on (via
+  /// AdvisorOptions::shared_cost_cache). It stores nothing: each advise's
+  /// cost memo is keyed by ids local to that advise's evaluator, valid
+  /// only inside it, so the memo dies with the advise.
   WhatIfCostCache what_if_cache;
   /// Shared page cache for `run` executions (warm across sessions).
   BufferPool buffer_pool{4096};

@@ -94,17 +94,21 @@ bool PatternsEquivalent(const PathPattern& a, const PathPattern& b) {
 
 bool ContainmentCache::Contains(const PathPattern& general,
                                 const PathPattern& specific) {
+  // Identical and `//`-free pairs are decided structurally in a few
+  // step comparisons — cheaper than the hash and lock of a memo lookup,
+  // and exactly what PatternContains would answer first anyway.
+  int fast = FastContains(general, specific);
+  if (fast >= 0) return fast == 1;
+
   auto key = std::make_pair(general.Hash(), specific.Hash());
   Shard& shard = shards_[KeyHash()(key) % kNumShards];
-  std::string gs = general.ToString();
-  std::string ss = specific.ToString();
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.first.first == gs &&
-        it->second.first.second == ss) {
+    if (it != shard.map.end() && it->second.general == general &&
+        it->second.specific == specific) {
       hits_.Increment();
-      return it->second.second;
+      return it->second.contains;
     }
   }
   // Compute outside the lock: the NFA product check is the expensive
@@ -112,7 +116,7 @@ bool ContainmentCache::Contains(const PathPattern& general,
   misses_.Increment();
   bool result = PatternContains(general, specific);
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map[key] = {{std::move(gs), std::move(ss)}, result};
+  shard.map[key] = Entry{general, specific, result};
   return result;
 }
 

@@ -48,6 +48,12 @@ bool PatternsEquivalent(const PathPattern& a, const PathPattern& b);
 /// containment tests over the candidate set; this cache makes repeated
 /// tests O(1).
 ///
+/// Pairs the structural fast path decides — identical patterns, and
+/// pairs where neither pattern has a `//` step — are answered directly,
+/// with no hash, lock, or memo entry: that check costs less than a
+/// lookup. Only pairs that need the automaton are memoized, so size()
+/// and the hit/miss counters describe those pairs alone.
+///
 /// Thread-safe: the map is split into fixed shards, each behind its own
 /// mutex, so concurrent what-if optimizations (which all funnel index
 /// matching through one shared cache) contend only when two lookups hash
@@ -72,11 +78,14 @@ class ContainmentCache {
       return k.first * 1000003 + k.second;
     }
   };
-  // Keyed by the two patterns' hashes; collisions re-verified by string.
-  using Map =
-      std::unordered_map<std::pair<size_t, size_t>,
-                         std::pair<std::pair<std::string, std::string>, bool>,
-                         KeyHash>;
+  // Keyed by the two patterns' hashes; a hit is confirmed against the
+  // stored patterns, so a hash collision is a miss, never a wrong answer.
+  struct Entry {
+    PathPattern general;
+    PathPattern specific;
+    bool contains = false;
+  };
+  using Map = std::unordered_map<std::pair<size_t, size_t>, Entry, KeyHash>;
   static constexpr size_t kNumShards = 16;
   struct Shard {
     std::mutex mu;

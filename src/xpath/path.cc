@@ -7,10 +7,19 @@
 namespace xia {
 
 std::string Step::ToString() const {
-  std::string out = (axis == Axis::kDescendant) ? "//" : "/";
-  if (is_attribute) out.push_back('@');
-  out += wildcard ? "*" : name;
+  std::string out;
+  AppendTo(&out);
   return out;
+}
+
+void Step::AppendTo(std::string* out) const {
+  out->append(axis == Axis::kDescendant ? "//" : "/");
+  if (is_attribute) out->push_back('@');
+  if (wildcard) {
+    out->push_back('*');
+  } else {
+    out->append(name);
+  }
 }
 
 PathPattern PathPattern::Concat(const PathPattern& suffix) const {
@@ -52,8 +61,12 @@ PathPattern PathPattern::AllAttributes() {
 
 std::string PathPattern::ToString() const {
   std::string out;
-  for (const Step& s : steps_) out += s.ToString();
+  AppendTo(&out);
   return out;
+}
+
+void PathPattern::AppendTo(std::string* out) const {
+  for (const Step& s : steps_) s.AppendTo(out);
 }
 
 size_t PathPattern::Hash() const {

@@ -34,6 +34,8 @@ struct Step {
   }
 
   std::string ToString() const;
+  /// Appends ToString() to `*out` without building a temporary.
+  void AppendTo(std::string* out) const;
 };
 
 /// A linear XML path pattern: `/site/regions/*/item//quantity`,
@@ -83,6 +85,8 @@ class PathPattern {
 
   /// Canonical text form; parseable back by ParsePathPattern.
   std::string ToString() const;
+  /// Appends ToString() to `*out` without building a temporary.
+  void AppendTo(std::string* out) const;
 
   /// Stable hash for use in unordered containers.
   size_t Hash() const;

@@ -175,11 +175,14 @@ TEST(IntersectionTest, IncomparableButOverlapping) {
 // ------------------------------------------------------- Cache behaviour.
 
 TEST(ContainmentCacheTest, CachesAndStaysCorrect) {
+  // `//` pairs need the automaton, so they are the ones memoized.
   ContainmentCache cache;
-  PathPattern g = P("/regions/*/item/*");
+  PathPattern g = P("//item/*");
   PathPattern s = P("/regions/africa/item/quantity");
   EXPECT_TRUE(cache.Contains(g, s));
+  EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_TRUE(cache.Contains(g, s));  // Cached path.
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_FALSE(cache.Contains(s, g));
   EXPECT_EQ(cache.size(), 2u);
 }
@@ -240,6 +243,43 @@ TEST_P(ContainmentPropertyTest, Transitive) {
 
 INSTANTIATE_TEST_SUITE_P(Universe, ContainmentPropertyTest,
                          ::testing::ValuesIn(kUniverse));
+
+TEST(ContainmentCacheTest, AgreesWithPatternContainsColdAndMemoized) {
+  ContainmentCache cache;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const char* g_text : kUniverse) {
+      for (const char* s_text : kUniverse) {
+        PathPattern g = P(g_text);
+        PathPattern s = P(s_text);
+        EXPECT_EQ(cache.Contains(g, s), PatternContains(g, s))
+            << g_text << " vs " << s_text << " pass " << pass;
+      }
+    }
+  }
+}
+
+TEST(ContainmentCacheTest, OnlyAutomatonPairsGrowTheMemo) {
+  // The structural fast path decides identical pairs and pairs with no
+  // `//` step on either side; those must leave the memo untouched. Every
+  // other pair is memoized on first sight and hit afterwards.
+  ContainmentCache cache;
+  for (const char* g_text : kUniverse) {
+    for (const char* s_text : kUniverse) {
+      PathPattern g = P(g_text);
+      PathPattern s = P(s_text);
+      bool fast = g == s ||
+                  (!g.HasDescendantAxis() && !s.HasDescendantAxis());
+      size_t before = cache.size();
+      cache.Contains(g, s);
+      EXPECT_EQ(cache.size(), before + (fast ? 0 : 1))
+          << g_text << " vs " << s_text;
+      uint64_t hits = cache.stats().hits;
+      cache.Contains(g, s);
+      EXPECT_EQ(cache.stats().hits, hits + (fast ? 0 : 1))
+          << g_text << " vs " << s_text;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace xia

@@ -65,21 +65,21 @@ TEST_F(SearchTest, GreedyRespectsBudgetAndImproves) {
   EXPECT_FALSE(result->trace.empty());
 }
 
-TEST_F(SearchTest, TraceEndsWithStatsSectionThenCounterLine) {
+TEST_F(SearchTest, TraceEndsWithStatsSection) {
   SearchOptions options;
   options.space_budget_bytes = kBudget;
   Result<SearchResult> result = GreedySearch(evaluator_.get(), options);
   ASSERT_TRUE(result.ok());
   // Every search trace closes with the observability tail: a "stats:"
-  // section rendering the evaluator's deterministic snapshot, then the
-  // legacy cache counter line as the very last entry.
+  // section rendering the evaluator's deterministic snapshot, one
+  // indented line per metric, through the trace's last line.
   const std::vector<std::string>& trace = result->trace;
-  ASSERT_GE(trace.size(), 3u);
-  EXPECT_EQ(trace.back(), result->counters.TraceLine());
+  ASSERT_GE(trace.size(), 2u);
   auto stats_it = std::find(trace.begin(), trace.end(), "stats:");
   ASSERT_NE(stats_it, trace.end());
   bool found_evaluations = false;
-  for (auto it = stats_it + 1; it != trace.end() - 1; ++it) {
+  for (auto it = stats_it + 1; it != trace.end(); ++it) {
+    EXPECT_EQ(it->rfind("  ", 0), 0u) << *it;
     if (it->find("advisor.evaluations = ") != std::string::npos) {
       found_evaluations = true;
     }
