@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): the substrate operations the
 // advisor leans on — path parsing, containment, synopsis matching, index
-// probes, optimization, and DAG construction.
+// probes, optimization, DAG construction, and plan execution.
 
 #include <benchmark/benchmark.h>
 
@@ -8,10 +8,13 @@
 #include <memory>
 #include <string>
 
+#include "advisor/advisor.h"
+#include "advisor/analysis.h"
 #include "advisor/dag.h"
 #include "common/logging.h"
 #include "advisor/enumeration.h"
 #include "advisor/generalize.h"
+#include "exec/executor.h"
 #include "index/index_builder.h"
 #include "optimizer/explain.h"
 #include "query/parser.h"
@@ -19,7 +22,9 @@
 #include "wlm/capture.h"
 #include "wlm/compress.h"
 #include "wlm/fingerprint.h"
+#include "workload/tpox_queries.h"
 #include "workload/xmark_queries.h"
+#include "xmldata/tpox_gen.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/containment.h"
 #include "xpath/parser.h"
@@ -233,6 +238,79 @@ void BM_GeneralizeAndBuildDag(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GeneralizeAndBuildDag);
+
+// ---------------------------------------------------------------------
+// Plan execution over a served database: the data of `xia_server
+// --preload xmark:16 --preload tpox`, with the advisor's 64 KB
+// configuration for the XMark and the TPoX templates materialized (what
+// the perfbench read_serve workload serves). Plans are optimized once;
+// each iteration runs every template's plan through a fresh executor
+// over a fresh pool sized like the server's. The counters are
+// deterministic page accounting the CI regression gate tracks
+// (bench/check_regression.py): any change to which pages execution
+// touches, or how often the pool finds them, moves them.
+
+struct ServedTemplates {
+  Database db;
+  Catalog catalog;
+  std::vector<QueryPlan> plans;
+};
+
+const ServedTemplates& SharedServedTemplates() {
+  static const ServedTemplates* served = [] {
+    auto* s = new ServedTemplates();
+    XIA_CHECK(PopulateXMark(&s->db, "xmark", 16, XMarkParams(), 42).ok());
+    XIA_CHECK(PopulateTpox(&s->db, 50, 100, 20, TpoxParams(), 11).ok());
+    AdvisorOptions options;
+    options.space_budget_bytes = 64.0 * 1024;
+    std::vector<Query> queries;
+    for (const Workload& workload :
+         {MakeXMarkWorkload("xmark"), MakeTpoxWorkload()}) {
+      Catalog base;
+      Result<Recommendation> rec =
+          Advisor(&s->db, &base, options).Recommend(workload);
+      XIA_CHECK(rec.ok());
+      XIA_CHECK(MaterializeConfiguration(s->db, rec->indexes, &s->catalog,
+                                         options.cost_model.storage)
+                    .ok());
+      queries.insert(queries.end(), workload.queries().begin(),
+                     workload.queries().end());
+    }
+    Optimizer optimizer(&s->db, options.cost_model);
+    ContainmentCache cache;
+    for (const Query& query : queries) {
+      Result<QueryPlan> plan = optimizer.Optimize(query, s->catalog, &cache);
+      XIA_CHECK(plan.ok());
+      s->plans.push_back(std::move(*plan));
+    }
+    return s;
+  }();
+  return *served;
+}
+
+void BM_ExecuteServedTemplates(benchmark::State& state) {
+  const ServedTemplates& served = SharedServedTemplates();
+  CostModel cost_model;
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  double sim_pages = 0;
+  for (auto _ : state) {
+    BufferPool pool(4096);  // xia::server's SharedState::buffer_pool.
+    Executor executor(&served.db, &served.catalog, cost_model, &pool);
+    sim_pages = 0;
+    for (const QueryPlan& plan : served.plans) {
+      Result<ExecResult> run = executor.Execute(plan);
+      XIA_CHECK(run.ok());
+      sim_pages += run->simulated_page_reads;
+    }
+    pool_hits = pool.hits();
+    pool_misses = pool.misses();
+  }
+  state.counters["pool_hits"] = static_cast<double>(pool_hits);
+  state.counters["pool_misses"] = static_cast<double>(pool_misses);
+  state.counters["sim_pages"] = sim_pages;
+}
+BENCHMARK(BM_ExecuteServedTemplates)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------
 // Persistent storage: cold vs. warm recovery-on-open (storage/

@@ -3,8 +3,9 @@
 
 Compares the google-benchmark JSON produced by the perf benches
 (bench_fig3_evaluate, bench_fig4_search, bench_maintenance, and the
-BM_OpenFromDisk* rows of bench_micro) against a committed baseline and
-fails when a tracked metric regresses beyond tolerance.
+BM_OpenFromDisk* and BM_ExecuteServedTemplates rows of bench_micro)
+against a committed baseline and fails when a tracked metric regresses
+beyond tolerance.
 
 Two metric classes, chosen for machine-portability:
 
@@ -19,6 +20,9 @@ Two metric classes, chosen for machine-portability:
         entries_inserted, entries_removed, est_entries, docs — pins both
         insert/delete maintenance symmetry and the agreement between the
         advisor's estimated entries-touched and the measured count.
+      - BM_ExecuteServedTemplates (bench_micro: every served template's
+        plan through a fresh executor + pool per iteration): pool_hits,
+        pool_misses, sim_pages — the executor's page accounting.
     Checked two-sided (default ±25%): more work is a regression, and a
     large silent drop usually means the benchmark stopped measuring what
     it used to — refresh the baseline if the change is intentional.
@@ -90,6 +94,10 @@ OPEN_FROM_DISK_COUNTERS = ("pages", "wal_records", "pool_misses",
 # what maintenance actually touches.
 MAINTENANCE_COUNTERS = ("entries_inserted", "entries_removed",
                         "est_entries", "docs")
+# Served-template execution rows (bench_micro): per-iteration buffer-pool
+# hits/misses and summed cold-cache page estimates. Batching or caching
+# in the executor's page accounting must leave all three untouched.
+EXECUTE_COUNTERS = ("pool_hits", "pool_misses", "sim_pages")
 
 # Absolute floors for callcut ratios (see docstring) — enforced against
 # the current run directly, not the baseline. Keys name the paired row
@@ -112,6 +120,8 @@ def counter_names(bench_name):
         return OPEN_FROM_DISK_COUNTERS
     if bench_name.startswith("BM_Maintenance"):
         return MAINTENANCE_COUNTERS
+    if bench_name.startswith("BM_ExecuteServed"):
+        return EXECUTE_COUNTERS
     return ()
 
 

@@ -55,8 +55,8 @@ struct AdvisorOptions {
   /// relevance bitmaps), Recommend() prices the benefit table before the
   /// search and scores configurations from it, cutting optimizer calls
   /// from O(configurations × queries) to O(queries + candidates). The
-  /// promised benefit is asserted to stay within decompose.epsilon of
-  /// the exact search's (tests/benefit_table_test.cc).
+  /// promised benefit is asserted to stay within 5% of the exact
+  /// search's (kBenefitEpsilon in tests/benefit_table_test.cc).
   DecomposeOptions decompose;
   /// Wall-clock budget for Recommend() in milliseconds; <= 0 means
   /// unlimited. The clock starts when Recommend() is entered and is

@@ -56,11 +56,6 @@ struct DecomposeOptions {
   /// non-priced overlap fall back to the optimizer: bit-identical
   /// recommendations to the exact search, at a smaller call saving.
   bool compose_above_degree = true;
-  /// Asserted quality bound, not a runtime knob: on workloads small
-  /// enough to run both paths, the decomposed recommendation's promised
-  /// benefit must be within this fraction of the exact search's
-  /// (tests/benefit_table_test.cc).
-  double epsilon = 0.05;
 };
 
 /// One priced (query class, relevant subset) cell: the exact optimizer

@@ -1,5 +1,6 @@
 #include "common/failpoint.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -158,6 +159,12 @@ Status ArmFromSpec(const std::string& spec_text) {
       value = mode.substr(colon + 1);
     }
     auto int_value = [&]() -> std::optional<int64_t> {
+      // Integers parse exactly: storage.bufferpool.fetch page ids exceed
+      // a double's 53-bit mantissa.
+      int64_t n = 0;
+      const char* end = value.data() + value.size();
+      auto [ptr, ec] = std::from_chars(value.data(), end, n);
+      if (ec == std::errc() && ptr == end) return n;
       std::optional<double> d = ParseDouble(value);
       if (!d.has_value()) return std::nullopt;
       return static_cast<int64_t>(*d);

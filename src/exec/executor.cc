@@ -108,34 +108,38 @@ Status Executor::TouchDocument(const Document& doc) const {
   double pages = std::max(
       1.0, std::ceil(static_cast<double>(doc.ByteSize()) /
                      cost_model_.storage.page_size_bytes));
-  for (uint32_t p = 0; p < static_cast<uint32_t>(pages); ++p) {
-    XIA_RETURN_IF_ERROR(
-        buffer_pool_->Fetch(DocPageId(doc.id(), p)).status());
-  }
-  return Status::Ok();
+  std::vector<uint64_t> run(static_cast<size_t>(pages));
+  for (uint32_t p = 0; p < run.size(); ++p) run[p] = DocPageId(doc.id(), p);
+  return buffer_pool_->FetchRun(run);
 }
 
-Status Executor::TouchNodePage(const Document& doc, NodeIndex node) const {
+Status Executor::TouchNodePages(const Collection& coll,
+                                const std::vector<NodeRef>& refs) const {
   if (buffer_pool_ == nullptr) return Status::Ok();
-  double bytes_per_node =
-      doc.num_nodes() == 0
-          ? 1.0
-          : static_cast<double>(doc.ByteSize()) /
-                static_cast<double>(doc.num_nodes());
-  uint32_t page = static_cast<uint32_t>(
-      static_cast<double>(doc.node(node).begin) * bytes_per_node /
-      cost_model_.storage.page_size_bytes);
-  return buffer_pool_->Fetch(DocPageId(doc.id(), page)).status();
+  std::vector<uint64_t> run;
+  run.reserve(refs.size());
+  for (const NodeRef& ref : refs) {
+    const Document& doc = coll.doc(ref.doc);
+    double bytes_per_node =
+        doc.num_nodes() == 0
+            ? 1.0
+            : static_cast<double>(doc.ByteSize()) /
+                  static_cast<double>(doc.num_nodes());
+    uint32_t page = static_cast<uint32_t>(
+        static_cast<double>(doc.node(ref.node).begin) * bytes_per_node /
+        cost_model_.storage.page_size_bytes);
+    run.push_back(DocPageId(ref.doc, page));
+  }
+  return buffer_pool_->FetchRun(run);
 }
 
 Status Executor::TouchIndexLeaves(const std::string& index_name,
                                   double pages) const {
   if (buffer_pool_ == nullptr) return Status::Ok();
   uint64_t hash = std::hash<std::string>{}(index_name);
-  for (uint32_t p = 0; p < static_cast<uint32_t>(std::ceil(pages)); ++p) {
-    XIA_RETURN_IF_ERROR(buffer_pool_->Fetch(IndexPageId(hash, p)).status());
-  }
-  return Status::Ok();
+  std::vector<uint64_t> run(static_cast<uint32_t>(std::ceil(pages)));
+  for (uint32_t p = 0; p < run.size(); ++p) run[p] = IndexPageId(hash, p);
+  return buffer_pool_->FetchRun(run);
 }
 
 Result<ExecResult> Executor::Execute(const QueryPlan& plan) const {
@@ -242,9 +246,7 @@ Result<ExecResult> Executor::ExecuteIndex(const QueryPlan& plan,
       XIA_RETURN_IF_ERROR(
           TouchIndexLeaves(idx.def().name, idx.LeafPages(cost_model_.storage) *
                                                std::min(1.0, frac)));
-      for (const NodeRef& ref : fetched) {
-        XIA_RETURN_IF_ERROR(TouchNodePage(coll.doc(ref.doc), ref.node));
-      }
+      XIA_RETURN_IF_ERROR(TouchNodePages(coll, fetched));
     }
     const PathPattern& probed_pattern =
         served_predicate >= 0

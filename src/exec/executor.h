@@ -74,14 +74,16 @@ class Executor {
   Result<ExecResult> ExecuteIndex(const QueryPlan& plan,
                                   const Collection& coll) const;
 
-  // The Touch* helpers route page accesses through BufferPool::Fetch, so
-  // an injected storage.bufferpool.fetch fault propagates out of Execute
-  // as a clean Status instead of being swallowed mid-scan.
+  // The Touch* helpers send each call's pages to BufferPool::FetchRun as
+  // one run (one pool lock per call, O(pages touched)), so an injected
+  // storage.bufferpool.fetch fault propagates out of Execute as a clean
+  // Status instead of being swallowed mid-scan.
 
   /// Routes the whole document's pages through the buffer pool.
   Status TouchDocument(const Document& doc) const;
-  /// Routes the page holding `node` of `doc` through the buffer pool.
-  Status TouchNodePage(const Document& doc, NodeIndex node) const;
+  /// Routes the page holding each fetched node, in order, through the pool.
+  Status TouchNodePages(const Collection& coll,
+                        const std::vector<NodeRef>& refs) const;
   /// Routes `pages` leading leaf pages of the named index through the pool.
   Status TouchIndexLeaves(const std::string& index_name, double pages) const;
 };

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "common/metrics.h"
@@ -21,7 +22,9 @@ namespace xia {
 /// Thread-safe: every operation takes one internal mutex, so concurrent
 /// server sessions can share the process-wide pool (xia::server does).
 /// Hit/miss totals are exact under concurrency; which page gets evicted
-/// depends on arrival order, as in any shared LRU.
+/// depends on arrival order, as in any shared LRU. FetchRun touches a
+/// whole run of pages under one acquisition, so a run is never
+/// interleaved with another thread's touches.
 class BufferPool {
  public:
   /// `capacity_pages` of zero disables caching (every touch is a miss).
@@ -37,9 +40,17 @@ class BufferPool {
 
   /// Fallible Touch: the storage.bufferpool.fetch failpoint fires before
   /// the page is touched (hit argument = page id), modeling a physical
-  /// read error. The executor's page-accounting paths call this so
-  /// injected I/O faults surface as a clean Status all the way up.
+  /// read error, so injected I/O faults surface as a clean Status all
+  /// the way up.
   Result<bool> Fetch(uint64_t page_id);
+
+  /// Fetch for a run of pages, in order, under one lock acquisition: the
+  /// outcome and the counters equal calling Fetch on each id in turn.
+  /// The storage.bufferpool.fetch failpoint is still checked once per id
+  /// (never while the pool lock is held); a trip at page k returns its
+  /// status with pages [0, k) touched and pages [k, end) untouched. The
+  /// executor's page accounting sends every call's pages as one run.
+  Status FetchRun(std::span<const uint64_t> page_ids);
 
   size_t capacity() const { return capacity_; }
   size_t size() const {
@@ -68,6 +79,11 @@ class BufferPool {
   void Reset();
 
  private:
+  /// Touches `page_ids` in order under one lock acquisition and adds to
+  /// each counter once; returns the number of hits. The only copy of the
+  /// LRU logic — Touch, Fetch and FetchRun all land here.
+  size_t TouchPages(std::span<const uint64_t> page_ids);
+
   size_t capacity_;
   mutable std::mutex mu_;    // Guards lru_ + map_ + *_base_.
   std::list<uint64_t> lru_;  // Front = most recently used.

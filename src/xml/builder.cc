@@ -29,6 +29,7 @@ NodeIndex DocumentBuilder::Append(XmlNode node) {
   }
   node.begin = next_begin_++;
   node.end = node.begin;
+  doc_.byte_size_ += Document::NodeByteSize(node);
   doc_.nodes_.push_back(std::move(node));
   return idx;
 }

@@ -13,12 +13,4 @@ std::string Document::TextValue(NodeIndex i) const {
   return out;
 }
 
-size_t Document::ByteSize() const {
-  size_t total = 0;
-  for (const XmlNode& n : nodes_) {
-    total += sizeof(XmlNode) + n.value.size();
-  }
-  return total;
-}
-
 }  // namespace xia

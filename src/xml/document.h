@@ -30,6 +30,7 @@ class Document {
   /// is what makes a reloaded document bit-identical to the original.
   static Document FromNodes(std::vector<XmlNode> nodes) {
     Document doc;
+    for (const XmlNode& n : nodes) doc.byte_size_ += NodeByteSize(n);
     doc.nodes_ = std::move(nodes);
     return doc;
   }
@@ -42,7 +43,6 @@ class Document {
   size_t num_nodes() const { return nodes_.size(); }
 
   const XmlNode& node(NodeIndex i) const { return nodes_[static_cast<size_t>(i)]; }
-  XmlNode& mutable_node(NodeIndex i) { return nodes_[static_cast<size_t>(i)]; }
   const std::vector<XmlNode>& nodes() const { return nodes_; }
 
   /// Root element index (0 for non-empty documents).
@@ -58,14 +58,22 @@ class Document {
   NodeIndex NextSibling(NodeIndex i) const { return node(i).next_sibling; }
 
   /// Approximate in-memory/storage footprint in bytes, used by the cost
-  /// model to derive page counts.
-  size_t ByteSize() const;
+  /// model and the executor's page accounting to derive page counts:
+  /// Σ NodeByteSize over the nodes. Kept up to date as nodes are added
+  /// (nodes are immutable once added), so this is O(1).
+  size_t ByteSize() const { return byte_size_; }
+
+  /// One node's contribution to ByteSize().
+  static size_t NodeByteSize(const XmlNode& n) {
+    return sizeof(XmlNode) + n.value.size();
+  }
 
  private:
   friend class DocumentBuilder;
 
   DocId id_ = -1;
   std::vector<XmlNode> nodes_;
+  size_t byte_size_ = 0;  // Σ NodeByteSize(nodes_).
 };
 
 }  // namespace xia

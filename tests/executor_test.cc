@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <set>
 
+#include "advisor/advisor.h"
+#include "advisor/analysis.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
 #include "index/index_builder.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
+#include "workload/tpox_queries.h"
+#include "workload/xmark_queries.h"
+#include "xmldata/tpox_gen.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -303,6 +310,249 @@ TEST_F(ExecutorTest, ScanCountsAllNodes) {
   EXPECT_EQ(result.nodes_examined,
             db_.GetCollection("xmark")->num_nodes());
   EXPECT_GT(result.wall_micros, 0.0);
+}
+
+// ------------------------------------------- Page-accounting equivalence.
+
+/// Node-walk document size, independent of Document's cached total.
+double WalkedBytes(const Document& doc) {
+  size_t total = 0;
+  for (const XmlNode& n : doc.nodes()) {
+    total += sizeof(XmlNode) + n.value.size();
+  }
+  return static_cast<double>(total);
+}
+
+/// What one execution reports about pages.
+struct PageCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  double simulated_page_reads = 0;
+};
+
+/// Reference page accounting: replays the pages an execution of `plan`
+/// touches, one BufferPool::Touch per page, in the executor's order:
+/// scans touch every live document's pages; index plans touch each
+/// probe's leading leaf pages, then the page of each fetched entry, then
+/// every live candidate document's pages. Sizes come from node walks.
+/// Every touched page id is recorded in `seen`.
+class ReferencePager {
+ public:
+  ReferencePager(const Database& db, const Catalog& catalog,
+                 const CostModel& cost_model, BufferPool* pool)
+      : db_(db), catalog_(catalog), cm_(cost_model), pool_(pool) {}
+
+  PageCounts Run(const QueryPlan& plan, std::set<uint64_t>* seen) {
+    seen_ = seen;
+    const Collection& coll = *db_.GetCollection(plan.query.collection);
+    uint64_t hits_before = pool_->hits();
+    uint64_t misses_before = pool_->misses();
+    PageCounts out;
+    if (!plan.access.use_index) {
+      double bytes = 0;
+      for (DocId id = 0; id < static_cast<DocId>(coll.num_docs()); ++id) {
+        if (!coll.IsLive(id)) continue;
+        TouchDoc(coll.doc(id));
+        bytes += WalkedBytes(coll.doc(id));
+      }
+      out.simulated_page_reads = cm_.Pages(bytes);
+    } else {
+      const StorageConstants& sc = cm_.storage;
+      const PathIndex& index =
+          *catalog_.Find(plan.access.index_def.name)->physical;
+      size_t fetched = 0;
+      std::set<DocId> docs =
+          Probe(coll, plan.query, index, plan.access.use,
+                plan.access.served_predicate, plan.access.needs_verify,
+                &fetched);
+      double secondary_height = 0;
+      if (plan.access.has_secondary) {
+        const IndexProbe& sec = plan.access.secondary;
+        const PathIndex& sec_index =
+            *catalog_.Find(sec.index_def.name)->physical;
+        std::set<DocId> sec_docs =
+            Probe(coll, plan.query, sec_index, sec.use, sec.served_predicate,
+                  sec.needs_verify, &fetched);
+        std::set<DocId> both;
+        for (DocId d : docs) {
+          if (sec_docs.count(d) > 0) both.insert(d);
+        }
+        docs = std::move(both);
+        secondary_height = static_cast<double>(sec_index.Height(sc));
+      }
+      // Both probes' fetches count against the primary index.
+      double frac = index.num_entries() == 0
+                        ? 0.0
+                        : static_cast<double>(fetched) /
+                              static_cast<double>(index.num_entries());
+      out.simulated_page_reads =
+          static_cast<double>(index.Height(sc)) +
+          index.LeafPages(sc) * std::min(1.0, frac) +
+          static_cast<double>(fetched) * 0.1 + secondary_height;
+      for (DocId d : docs) {
+        if (coll.IsLive(d)) TouchDoc(coll.doc(d));
+      }
+    }
+    out.hits = pool_->hits() - hits_before;
+    out.misses = pool_->misses() - misses_before;
+    return out;
+  }
+
+ private:
+  void Touch(uint64_t page_id) {
+    pool_->Touch(page_id);
+    seen_->insert(page_id);
+  }
+
+  void TouchDoc(const Document& doc) {
+    double pages = std::max(
+        1.0, std::ceil(WalkedBytes(doc) / cm_.storage.page_size_bytes));
+    for (uint32_t p = 0; p < static_cast<uint32_t>(pages); ++p) {
+      Touch(DocPageId(doc.id(), p));
+    }
+  }
+
+  std::set<DocId> Probe(const Collection& coll, const NormalizedQuery& query,
+                        const PathIndex& idx, MatchUse use, int served,
+                        bool needs_verify, size_t* fetched_count) {
+    std::vector<NodeRef> fetched =
+        ProbeIndexForPredicate(idx, query, use, served);
+    *fetched_count += fetched.size();
+    double frac = idx.num_entries() == 0
+                      ? 0.0
+                      : static_cast<double>(fetched.size()) /
+                            static_cast<double>(idx.num_entries());
+    double leaves = idx.LeafPages(cm_.storage) * std::min(1.0, frac);
+    uint64_t hash = std::hash<std::string>{}(idx.def().name);
+    for (uint32_t p = 0; p < static_cast<uint32_t>(std::ceil(leaves)); ++p) {
+      Touch(IndexPageId(hash, p));
+    }
+    for (const NodeRef& ref : fetched) {
+      const Document& doc = coll.doc(ref.doc);
+      double bytes_per_node =
+          doc.num_nodes() == 0 ? 1.0
+                               : WalkedBytes(doc) /
+                                     static_cast<double>(doc.num_nodes());
+      Touch(DocPageId(ref.doc, static_cast<uint32_t>(
+                                   static_cast<double>(
+                                       doc.node(ref.node).begin) *
+                                   bytes_per_node /
+                                   cm_.storage.page_size_bytes)));
+    }
+    const PathPattern& probed =
+        served >= 0 ? query.predicates[static_cast<size_t>(served)].pattern
+                    : query.for_path;
+    PatternNfa nfa(probed);
+    std::set<DocId> docs;
+    for (const NodeRef& ref : fetched) {
+      if (needs_verify &&
+          !VerifyNodePathNfa(coll.doc(ref.doc), db_.names(), ref.node, nfa)) {
+        continue;
+      }
+      docs.insert(ref.doc);
+    }
+    return docs;
+  }
+
+  const Database& db_;
+  const Catalog& catalog_;
+  const CostModel& cm_;
+  BufferPool* pool_;
+  std::set<uint64_t>* seen_ = nullptr;
+};
+
+// Batching page touches into one-lock runs must not change which pages
+// are touched or in what order: every page counter an execution reports,
+// and the pool's own totals and contents, equal a page-by-page reference
+// across scan, index and IXAND plans of the XMark and TPoX templates —
+// on a pool small enough to evict on every document and on a warm one.
+TEST(ExecutorPageAccountingTest, RunsMatchPageByPageReference) {
+  Database db;
+  ASSERT_TRUE(PopulateXMark(&db, "xmark", 16, XMarkParams(), 42).ok());
+  ASSERT_TRUE(PopulateTpox(&db, 50, 100, 20, TpoxParams(), 11).ok());
+  CostModel cost_model;
+  Catalog catalog;
+  std::vector<Query> queries;
+  for (const Workload& workload :
+       {MakeXMarkWorkload("xmark"), MakeTpoxWorkload()}) {
+    AdvisorOptions options;
+    options.space_budget_bytes = 64.0 * 1024;
+    Catalog base;
+    Advisor advisor(&db, &base, options);
+    Result<Recommendation> rec = advisor.Recommend(workload);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_TRUE(MaterializeConfiguration(db, rec->indexes, &catalog,
+                                         cost_model.storage)
+                    .ok());
+    for (const Query& q : workload.queries()) queries.push_back(q);
+  }
+  // Two sargable indexes on one path make the IXAND plan available.
+  for (const char* leaf : {"quantity", "price"}) {
+    IndexDefinition def;
+    def.name = std::string("ixand_") + leaf;
+    def.collection = "xmark";
+    def.pattern = P(std::string("/site/regions/africa/item/") + leaf);
+    def.type = ValueType::kDouble;
+    Result<PathIndex> built = BuildIndex(db, def);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(catalog
+                    .AddPhysical(std::make_shared<PathIndex>(
+                                     std::move(*built)),
+                                 cost_model.storage)
+                    .ok());
+  }
+  Result<Query> ixand_query = ParseQuery(
+      "for $i in doc(\"xmark\")/site/regions/africa/item "
+      "where $i/quantity > 8 and $i/price < 100 return $i/name");
+  ASSERT_TRUE(ixand_query.ok());
+  queries.push_back(std::move(*ixand_query));
+
+  Optimizer optimizer(&db, cost_model);
+  ContainmentCache cache;
+  Catalog empty;
+  std::vector<QueryPlan> plans;
+  int index_plans = 0;
+  int ixand_plans = 0;
+  for (const Query& q : queries) {
+    for (const Catalog* cat : {&empty, &catalog}) {
+      Result<QueryPlan> plan = optimizer.Optimize(q, *cat, &cache);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      index_plans += plan->access.use_index ? 1 : 0;
+      ixand_plans += plan->access.has_secondary ? 1 : 0;
+      plans.push_back(std::move(*plan));
+    }
+  }
+  ASSERT_GT(index_plans, 0);
+  ASSERT_GT(ixand_plans, 0);
+
+  for (size_t capacity : {size_t{8}, size_t{4096}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    BufferPool pool(capacity);
+    BufferPool ref_pool(capacity);
+    Executor executor(&db, &catalog, cost_model, &pool);
+    ReferencePager reference(db, catalog, cost_model, &ref_pool);
+    std::set<uint64_t> seen;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const QueryPlan& plan : plans) {
+        SCOPED_TRACE(plan.query_text);
+        Result<ExecResult> run = executor.Execute(plan);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        PageCounts want = reference.Run(plan, &seen);
+        EXPECT_EQ(run->buffer_hits, want.hits);
+        EXPECT_EQ(run->buffer_misses, want.misses);
+        EXPECT_EQ(run->simulated_page_reads, want.simulated_page_reads);
+        EXPECT_EQ(pool.hits(), ref_pool.hits());
+        EXPECT_EQ(pool.misses(), ref_pool.misses());
+        EXPECT_EQ(pool.evictions(), ref_pool.evictions());
+      }
+    }
+    // The small pool evicts within every document; the large one warms.
+    EXPECT_GT(capacity == 8 ? pool.evictions() : pool.hits(), 0u);
+    // Same contents: every page ever touched probes the same in both.
+    for (uint64_t page : seen) {
+      EXPECT_EQ(pool.Touch(page), ref_pool.Touch(page)) << page;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -13,11 +14,13 @@
 #include "advisor/whatif.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "exec/executor.h"
 #include "index/catalog.h"
 #include "index/index_builder.h"
 #include "storage/buffer_pool.h"
 #include "storage/collection_io.h"
 #include "storage/database.h"
+#include "xmldata/xmark_gen.h"
 
 namespace xia {
 namespace {
@@ -225,6 +228,41 @@ TEST_F(FailpointTest, BufferPoolFetchHookFires) {
   fp::ScopedFailpoint armed("storage.bufferpool.fetch", spec);
   EXPECT_TRUE(pool.Fetch(3).ok());
   EXPECT_FALSE(pool.Fetch(7).ok());
+}
+
+// The hook keeps its per-page meaning inside a multi-page run: a scan
+// sends each document's pages to the pool as one run, and a trip at page
+// k of that run fails the execution with pages [0, k) cached and pages
+// [k, end) never touched.
+TEST_F(FailpointTest, BufferPoolFetchHookFiresInsideARun) {
+  Database db;
+  ASSERT_TRUE(PopulateXMark(&db, "xmark", 1, XMarkParams(), 42).ok());
+  const Document& doc = db.GetCollection("xmark")->doc(0);
+  CostModel cost_model;
+  uint32_t pages = static_cast<uint32_t>(std::ceil(
+      static_cast<double>(doc.ByteSize()) /
+      cost_model.storage.page_size_bytes));
+  ASSERT_GE(pages, 3u);
+  const uint32_t k = pages / 2;
+
+  BufferPool pool(1024);  // Large enough that nothing is evicted.
+  Catalog catalog;
+  Executor executor(&db, &catalog, cost_model, &pool);
+  QueryPlan plan;
+  plan.query.collection = "xmark";  // No index: a collection scan.
+  ASSERT_TRUE(fp::ArmFromSpec(
+                  "storage.bufferpool.fetch=error:ResourceExhausted,arg:" +
+                  std::to_string(DocPageId(0, k)))
+                  .ok());
+  Result<ExecResult> run = executor.Execute(plan);
+  fp::DisarmAll();
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(pool.misses(), k);
+  EXPECT_EQ(pool.size(), k);
+  for (uint32_t p = 0; p < pages; ++p) {
+    EXPECT_EQ(pool.Touch(DocPageId(0, p)), p < k) << "page " << p;
+  }
 }
 
 TEST_F(FailpointTest, CatalogDdlHookFires) {

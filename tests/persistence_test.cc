@@ -483,6 +483,66 @@ TEST(PersistenceTest, DmlMutationsSurviveCheckpointWithTombstones) {
   }
 }
 
+/// Σ(sizeof(XmlNode) + value.size()) by a walk over the nodes.
+size_t WalkedByteSize(const Document& doc) {
+  size_t total = 0;
+  for (const XmlNode& n : doc.nodes()) {
+    total += sizeof(XmlNode) + n.value.size();
+  }
+  return total;
+}
+
+/// Every slot's cached size equals its node walk, and the collection's
+/// running total equals the sum over live documents.
+void ExpectByteSizesConsistent(const Collection& coll) {
+  size_t live_total = 0;
+  for (DocId id = 0; id < static_cast<DocId>(coll.num_docs()); ++id) {
+    const Document& doc = coll.doc(id);
+    EXPECT_EQ(doc.ByteSize(), WalkedByteSize(doc)) << "doc " << id;
+    if (coll.IsLive(id)) live_total += WalkedByteSize(doc);
+  }
+  EXPECT_EQ(coll.ByteSize(), live_total);
+}
+
+// Document::ByteSize() is a cached total, maintained as nodes are added;
+// it must equal the node walk for documents from every construction path
+// (parser, DocumentBuilder, checkpoint reload via FromNodes, DML insert
+// and update), and Collection::ByteSize() must track deletes.
+TEST(PersistenceTest, DocumentByteSizeMatchesNodeWalkOnEveryPath) {
+  ScratchDir dir("xia_persist_byte_size");
+  {
+    Instance inst;
+    ASSERT_TRUE(inst.OpenIn(dir.db_dir()).ok());
+    ApplyBaseline(&inst);  // Parsed documents.
+    // DocumentBuilder documents (unlogged bulk load, then checkpoint).
+    ASSERT_TRUE(PopulateXMark(&inst.db, "xmark", 3, XMarkParams(), 42).ok());
+    ASSERT_TRUE(inst.engine->Checkpoint().ok());
+    ExpectByteSizesConsistent(*inst.db.GetCollection("docs"));
+    ExpectByteSizesConsistent(*inst.db.GetCollection("xmark"));
+    // DML insert, update (delete + insert) and delete.
+    ASSERT_TRUE(inst.engine
+                    ->InsertDocument("docs",
+                                     "<site><item><price>30</price>"
+                                     "<name>long enough text</name>"
+                                     "</item></site>")
+                    .ok());
+    ASSERT_TRUE(inst.engine->UpdateDocument("docs", 1, kDocA).ok());
+    ASSERT_TRUE(inst.engine->DeleteDocument("xmark", 1).ok());
+    ExpectByteSizesConsistent(*inst.db.GetCollection("docs"));
+    ExpectByteSizesConsistent(*inst.db.GetCollection("xmark"));
+    ASSERT_TRUE(inst.engine->Close().ok());
+  }
+  // Checkpoint reload: every document comes back through FromNodes.
+  Instance reopened;
+  ASSERT_TRUE(reopened.OpenIn(dir.db_dir()).ok());
+  for (const char* name : {"docs", "xmark"}) {
+    const Collection* coll = reopened.db.GetCollection(name);
+    ASSERT_NE(coll, nullptr);
+    EXPECT_LT(coll->num_live_docs(), coll->num_docs());  // Has tombstones.
+    ExpectByteSizesConsistent(*coll);
+  }
+}
+
 TEST(PersistenceTest, KillMidDmlAppendRecoversCommittedPrefix) {
   // One kill per DML verb: the record dies inside its WAL append, so the
   // reopened state must equal the pre-mutation fingerprint exactly.
