@@ -111,7 +111,7 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload) {
   if (options_.decompose.enabled && evaluator.cost_cache_enabled()) {
     XIA_ASSIGN_OR_RETURN(
         rec.pricing,
-        evaluator.PriceBenefitTable(options_.decompose, &rec.dag, deadline));
+        evaluator.PriceBenefitTable(options_.decompose, deadline));
     rec.decomposed = true;
   }
 

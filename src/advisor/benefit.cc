@@ -680,8 +680,7 @@ BenefitEntry EntryFromRecord(const std::vector<int>& subset,
 }  // namespace
 
 Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
-    const DecomposeOptions& opts, const GeneralizationDag* dag,
-    const Deadline& deadline) {
+    const DecomposeOptions& opts, const Deadline& deadline) {
   XIA_SPAN("advisor.price_benefits");
   if (!cost_cache_->enabled()) {
     return Status::InvalidArgument(
@@ -689,7 +688,7 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
         "the relevance bitmaps and the pricing dedup layer)");
   }
   decompose_ = opts;
-  auto table = std::make_unique<BenefitTable>(opts.max_degree);
+  auto table = std::make_unique<BenefitTable>();
   BenefitPricingReport report;
 
   // Per-class representative query (first of the fingerprint class; equal
@@ -704,9 +703,6 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
     if (representative[cls] == SIZE_MAX) representative[cls] = qi;
   }
   report.classes = num_classes;
-
-  std::vector<Bitmap> ancestors;
-  if (opts.max_degree >= 2 && dag != nullptr) ancestors = DagAncestors(*dag);
 
   // Serial enumeration phase: every (class, subset) in deterministic
   // class-major / size-ascending order, resolved against this
@@ -724,9 +720,8 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
       if (relevant_[c].Test(qi)) rel.push_back(static_cast<int>(c));
     }
     bool capped = false;
-    std::vector<std::vector<int>> subsets = EnumerateBenefitSubsets(
-        rel, opts.max_degree, opts.max_subsets_per_query,
-        ancestors.empty() ? nullptr : &ancestors, &capped);
+    std::vector<std::vector<int>> subsets =
+        EnumerateBenefitSubsets(rel, opts.max_subsets_per_query, &capped);
     report.subsets_enumerated += subsets.size();
     if (capped) ++report.capped_classes;
     for (std::vector<int>& subset : subsets) {
@@ -804,8 +799,7 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
 
 std::string ConfigurationEvaluator::DescribeDecomposition() const {
   if (!decomposed()) return "";
-  std::string out = "decomposed scoring: degree=" +
-                    std::to_string(decompose_.max_degree) + " compose=" +
+  std::string out = std::string("decomposed scoring: degree=1 compose=") +
                     (decompose_.compose_above_degree ? "on" : "off") + ", " +
                     pricing_report_.ToString();
   return out;

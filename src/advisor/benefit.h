@@ -149,9 +149,7 @@ class ConfigurationEvaluator {
   /// cancel-governed chunks: an exhausted budget returns a usable
   /// best-so-far table (report.stop_reason != kConverged), never an
   /// error. Requires the cost cache (relevance bitmaps) to be enabled.
-  /// `dag` may be null (disables degree-2 pair pruning).
   Result<BenefitPricingReport> PriceBenefitTable(const DecomposeOptions& opts,
-                                                 const GeneralizationDag* dag,
                                                  const Deadline& deadline);
 
   /// True once PriceBenefitTable installed a table (decomposed mode on).

@@ -124,47 +124,8 @@ std::string BenefitTable::DebugString() const {
   return out;
 }
 
-std::vector<Bitmap> DagAncestors(const GeneralizationDag& dag) {
-  // nodes()[i].parents lists strictly-more-general candidates with no
-  // third candidate between, so reflexive-transitive closure over parents
-  // yields the strict-ancestor relation. Memoized DFS; the DAG is acyclic
-  // by construction.
-  const std::vector<GeneralizationDag::Node>& nodes = dag.nodes();
-  std::vector<Bitmap> ancestors(nodes.size());
-  std::vector<char> done(nodes.size(), 0);
-  // Iterative post-order so deep generalization chains cannot overflow
-  // the stack.
-  for (size_t start = 0; start < nodes.size(); ++start) {
-    if (done[start]) continue;
-    std::vector<std::pair<size_t, size_t>> stack{{start, 0}};
-    while (!stack.empty()) {
-      auto& [node, next_parent] = stack.back();
-      if (next_parent == 0 && ancestors[node].size() == 0) {
-        ancestors[node] = Bitmap(nodes.size());
-      }
-      const std::vector<int>& parents = nodes[node].parents;
-      if (next_parent < parents.size()) {
-        size_t parent = static_cast<size_t>(parents[next_parent++]);
-        if (!done[parent]) {
-          stack.emplace_back(parent, 0);
-        }
-        continue;
-      }
-      for (int p : parents) {
-        size_t parent = static_cast<size_t>(p);
-        ancestors[node].Set(parent);
-        ancestors[node] |= ancestors[parent];
-      }
-      done[node] = 1;
-      stack.pop_back();
-    }
-  }
-  return ancestors;
-}
-
 std::vector<std::vector<int>> EnumerateBenefitSubsets(
-    const std::vector<int>& relevant, int max_degree, size_t max_subsets,
-    const std::vector<Bitmap>* ancestors, bool* capped) {
+    const std::vector<int>& relevant, size_t max_subsets, bool* capped) {
   if (capped != nullptr) *capped = false;
   std::vector<std::vector<int>> subsets;
   auto push = [&](std::vector<int> subset) {
@@ -175,29 +136,12 @@ std::vector<std::vector<int>> EnumerateBenefitSubsets(
     subsets.push_back(std::move(subset));
     return true;
   };
-  // Size-ascending, lexicographic within each size: the empty set (the
-  // query's baseline under this class), singletons, then incomparable
-  // pairs. The cap therefore always keeps the entries the composed bound
+  // The empty set (the query's baseline under this class) first, then
+  // the singletons: the cap always keeps the baseline the composed bound
   // leans on hardest.
   if (!push({})) return subsets;
   for (int c : relevant) {
     if (!push({c})) return subsets;
-  }
-  if (max_degree < 2) return subsets;
-  for (size_t i = 0; i < relevant.size(); ++i) {
-    for (size_t j = i + 1; j < relevant.size(); ++j) {
-      int a = relevant[i];
-      int b = relevant[j];
-      if (ancestors != nullptr) {
-        const Bitmap& a_anc = (*ancestors)[static_cast<size_t>(a)];
-        const Bitmap& b_anc = (*ancestors)[static_cast<size_t>(b)];
-        if (a_anc.Test(static_cast<size_t>(b)) ||
-            b_anc.Test(static_cast<size_t>(a))) {
-          continue;  // Comparable: the specific member's singleton wins.
-        }
-      }
-      if (!push({a, b})) return subsets;
-    }
   }
   return subsets;
 }

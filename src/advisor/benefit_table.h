@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "advisor/cost_cache.h"
-#include "advisor/dag.h"
-#include "common/bitmap.h"
 #include "common/deadline.h"
 #include "common/metrics.h"
 
@@ -18,9 +16,9 @@ namespace xia {
 
 /// CoPhy-style atomic-benefit decomposition (arXiv 1104.3214): instead of
 /// re-running the what-if optimizer for every (configuration, query) pair
-/// a search explores, price each distinct query once against every small
-/// *relevant* candidate subset up to a bounded interaction degree, then
-/// score configurations by composing the precomputed atomic costs. The
+/// a search explores, price each distinct query once against the empty
+/// set and every *relevant* candidate on its own (degree 1), then score
+/// configurations by composing the precomputed atomic costs. The
 /// number of optimizer calls becomes O(distinct queries × relevant
 /// candidates) — independent of how many configurations the search walks —
 /// which is what lets a 10k-template compressed log advise at interactive
@@ -41,16 +39,11 @@ namespace xia {
 struct DecomposeOptions {
   /// Master switch; the exact per-configuration path stays the default.
   bool enabled = false;
-  /// Largest relevant-subset size priced per query class: 1 prices the
-  /// empty set + every singleton, 2 adds DAG-incomparable pairs. Larger
-  /// degrees price exponentially more subsets for quadratically rarer
-  /// exact hits, so the knob stops at what CoPhy found useful.
-  int max_degree = 1;
-  /// Hard cap on subsets priced per query class (enumeration order:
-  /// size-ascending, then lexicographic — the cap keeps the cheap,
-  /// high-value entries).
+  /// Hard cap on subsets priced per query class (enumeration order: the
+  /// empty set, then singletons in candidate order — the cap keeps the
+  /// baseline entry).
   size_t max_subsets_per_query = 128;
-  /// When a query's relevant-set overlap exceeds the priced degree (or
+  /// When a query's relevant-set overlap is larger than one candidate (or
   /// pricing was truncated), score it with the composed upper bound
   /// instead of a real what-if call. Disabling this makes every
   /// non-priced overlap fall back to the optimizer: bit-identical
@@ -69,7 +62,7 @@ struct BenefitEntry {
 /// traces so a truncated table is never mistaken for a complete one.
 struct BenefitPricingReport {
   size_t classes = 0;             // Distinct query fingerprint classes.
-  size_t subsets_enumerated = 0;  // After degree bound / pruning / caps.
+  size_t subsets_enumerated = 0;  // After the per-class cap.
   size_t subsets_priced = 0;      // Entries actually in the table.
   size_t capped_classes = 0;      // Classes that hit max_subsets_per_query.
   /// kConverged when every enumerated subset was priced; kDeadline /
@@ -91,8 +84,7 @@ struct BenefitPricingReport {
 /// any thread count (the same contract as WhatIfCostCache).
 class BenefitTable {
  public:
-  explicit BenefitTable(int max_degree) : max_degree_(max_degree) {}
-
+  BenefitTable() = default;
   BenefitTable(const BenefitTable&) = delete;
   BenefitTable& operator=(const BenefitTable&) = delete;
 
@@ -123,7 +115,6 @@ class BenefitTable {
 
   bool truncated() const { return truncated_; }
   StopReason stop_reason() const { return stop_reason_; }
-  int max_degree() const { return max_degree_; }
   size_t entries() const { return entries_count_; }
 
   /// Serial-phase accounting hooks (see class comment).
@@ -145,7 +136,6 @@ class BenefitTable {
     std::unordered_map<std::string, size_t> by_key;
   };
 
-  int max_degree_;
   bool truncated_ = false;
   StopReason stop_reason_ = StopReason::kConverged;
   size_t entries_count_ = 0;
@@ -158,23 +148,11 @@ class BenefitTable {
   obs::Counter fallback_whatifs_{"benefit.fallback_whatifs"};
 };
 
-/// ancestors[i].Test(j): candidate j is a strict DAG ancestor (more
-/// general) of candidate i. Computed once per pricing pass and used to
-/// prune comparable pairs from degree-2 enumeration: when one pair member
-/// generalizes the other, the optimizer's plan under the pair is the
-/// specific member's singleton plan in all but pathological secondary-
-/// access cases, so pricing the pair buys ~nothing (the composed bound
-/// already covers it within ε).
-std::vector<Bitmap> DagAncestors(const GeneralizationDag& dag);
-
 /// Deterministic bounded subset enumeration for one query class: the
-/// empty set, every singleton of `relevant` (sorted), then — at degree
-/// >= 2 — every DAG-incomparable pair, size-ascending / lexicographic,
-/// truncated at `max_subsets`. `ancestors` may be null (no pruning).
-/// Sets `*capped` when the cap cut enumeration short.
+/// empty set, then every singleton of `relevant` (sorted), truncated at
+/// `max_subsets`. Sets `*capped` when the cap cut enumeration short.
 std::vector<std::vector<int>> EnumerateBenefitSubsets(
-    const std::vector<int>& relevant, int max_degree, size_t max_subsets,
-    const std::vector<Bitmap>* ancestors, bool* capped);
+    const std::vector<int>& relevant, size_t max_subsets, bool* capped);
 
 }  // namespace xia
 

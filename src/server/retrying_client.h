@@ -67,9 +67,9 @@ class RetryingClient {
   Result<std::string> Call(const std::string& command);
 
   /// True when `line`'s verb is safe to re-send after an ambiguous
-  /// transport failure (the server may have executed it already).
-  /// Read-only verbs and session-local setup are; shared-state
-  /// mutations are not. Exposed for tests.
+  /// transport failure (the server may have executed it already): the
+  /// verb table's `idempotent` column (session.h). Read-only verbs and
+  /// session-local setup are; shared-state mutations are not.
   static bool IsIdempotentCommand(const std::string& line);
 
   void Close() { client_.Close(); }

@@ -10,9 +10,9 @@
 #include <cstring>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "server/net_util.h"
 
 namespace xia {
@@ -20,14 +20,25 @@ namespace server {
 
 namespace {
 
-/// First token of a request line, lowercased — the span/latency label.
-/// Non-command payloads label as "empty".
-std::string VerbOf(const std::string& request) {
-  std::istringstream input(request);
-  std::string verb;
-  input >> verb;
-  if (verb.empty()) return "empty";
-  return ToLower(verb);
+/// The `server.verb.<verb>` latency histogram for a verb-table row, or
+/// `server.verb.unknown` for any other first token — so what clients
+/// send cannot grow the registry. Resolved once per row, on first use,
+/// so only verbs that ran appear in `stats`.
+obs::LatencyHistogram& VerbHistogram(const VerbSpec* spec) {
+  static std::vector<std::atomic<obs::LatencyHistogram*>> cache(
+      VerbTable().size() + 1);
+  size_t slot = spec == nullptr
+                    ? VerbTable().size()
+                    : static_cast<size_t>(spec - VerbTable().data());
+  obs::LatencyHistogram* histogram =
+      cache[slot].load(std::memory_order_acquire);
+  if (histogram == nullptr) {
+    histogram = &obs::Registry().GetSpanHistogram(
+        "server.verb." +
+        std::string(spec == nullptr ? "unknown" : spec->verb));
+    cache[slot].store(histogram, std::memory_order_release);
+  }
+  return *histogram;
 }
 
 /// Failpoint hooks live in tiny Status helpers so the XIA_FAILPOINT
@@ -287,48 +298,49 @@ void Server::HandleConnection(int fd, uint64_t connection_id) {
 std::string Server::HandleRequest(const std::string& request,
                                   ClientSession* session, bool* quit) {
   requests_.Increment();
-  std::string verb = VerbOf(request);
-  if (verb == "empty") {
+  Command command = ParseCommand(request);
+  if (command.verb.empty()) {
     // A zero-length (or all-whitespace) payload is a well-formed frame
     // carrying no command: answer ERR, keep the connection.
     protocol_errors_.Increment();
     return ErrResponse("empty request");
   }
+  const VerbSpec* spec = command.spec;
   // Liveness/readiness/drain are answered before the dispatcher and
   // without touching SharedState locks: `health` must respond while
   // recovery holds the state lock exclusively, and `drain` must land on
   // a server whose workers are all wedged in long advises.
-  if (verb == "health") {
-    return OkResponse("alive");
+  switch (spec == nullptr ? ServerProbe::kNone : spec->probe) {
+    case ServerProbe::kHealth:
+      return OkResponse("alive");
+    case ServerProbe::kReady:
+      if (draining_.load(std::memory_order_relaxed)) {
+        return ErrResponse("not ready: draining");
+      }
+      if (!ready_.load(std::memory_order_relaxed)) {
+        return ErrResponse("not ready: recovering");
+      }
+      if (inflight_advises_.load(std::memory_order_relaxed) >=
+          options_.max_inflight_advises) {
+        return ErrResponse("not ready: at advise capacity");
+      }
+      return OkResponse("ready");
+    case ServerProbe::kDrain:
+      Drain();
+      return OkResponse("draining");
+    case ServerProbe::kNone:
+      break;
   }
-  if (verb == "ready") {
-    if (draining_.load(std::memory_order_relaxed)) {
-      return ErrResponse("not ready: draining");
-    }
-    if (!ready_.load(std::memory_order_relaxed)) {
-      return ErrResponse("not ready: recovering");
-    }
-    if (inflight_advises_.load(std::memory_order_relaxed) >=
-        options_.max_inflight_advises) {
-      return ErrResponse("not ready: at advise capacity");
-    }
-    return OkResponse("ready");
-  }
-  if (verb == "drain") {
-    Drain();
-    return OkResponse("draining");
-  }
-  if (draining_.load(std::memory_order_relaxed)) {
+  if (draining_.load(std::memory_order_relaxed) &&
+      (spec == nullptr || !spec->drain_ok)) {
     // Lame duck. Observation verbs still answer (an operator watching
     // the drain needs them); everything else gets GOAWAY and a close.
-    if (verb != "stats" && verb != "quit" && verb != "exit") {
-      goaway_.Increment();
-      *quit = true;
-      return GoawayResponse("server draining");
-    }
+    goaway_.Increment();
+    *quit = true;
+    return GoawayResponse("server draining");
   }
-  bool is_advise =
-      CommandDispatcher::Classify(request) == VerbClass::kAdvise;
+  const bool is_advise =
+      spec != nullptr && spec->admission == Admission::kAdvise;
   if (is_advise) {
     // Advise admission: never queue behind other advises — overload gets
     // a fast BUSY the load generator (and a human) can react to.
@@ -358,9 +370,7 @@ std::string Server::HandleRequest(const std::string& request,
                     .count();
   // Per-verb latency histograms, recorded unconditionally: the server IS
   // the investigation surface, unlike library spans (default-off).
-  obs::Registry()
-      .GetSpanHistogram("server.verb." + verb)
-      .Record(static_cast<uint64_t>(micros));
+  VerbHistogram(spec).Record(static_cast<uint64_t>(micros));
   if (outcome == CommandOutcome::kQuit) {
     *quit = true;
     return OkResponse("bye");

@@ -32,8 +32,9 @@ namespace server {
 ///   - connections: at most `max_connections` concurrently; an accept
 ///     beyond that is answered with one BUSY frame and closed.
 ///   - advises: at most `max_inflight_advises` advise-class requests
-///     (advise / drift readvise) run at once; excess requests get an
-///     immediate BUSY reply without touching the advisor.
+///     (the verb table's Admission::kAdvise rows: advise, drift
+///     readvise) run at once; excess requests get an immediate BUSY
+///     reply without touching the advisor.
 ///
 /// Connection governance (misbehaving clients cost a socket, never a
 /// worker):
@@ -46,16 +47,20 @@ namespace server {
 ///     draining, or at advise capacity); `drain` flips the server into
 ///     lame-duck mode where everything new gets GOAWAY. All three are
 ///     handled before the dispatcher and take no locks, so they answer
-///     even while recovery holds the state lock exclusively.
+///     even while recovery holds the state lock exclusively. Which verbs
+///     are probes, and which still answer while draining, are verb-table
+///     columns (session.h).
 ///
 /// Observability (xia::obs):
 ///   gauges   server.connections, server.advises_inflight
 ///   counters server.accepted, server.rejected_connections,
 ///            server.requests, server.busy, server.protocol_errors,
 ///            server.timeouts, server.reaped_idle, server.goaway
-///   spans    server.verb.<verb> latency histograms (always recorded —
-///            the server enables no other spans, so request latency does
-///            not depend on the global span switch)
+///   spans    server.verb.<verb> latency histograms, one per verb-table
+///            verb that has run; every other first token records under
+///            server.verb.unknown, so no request can grow the registry
+///            (always recorded — the server enables no other spans, so
+///            request latency does not depend on the global span switch)
 ///
 /// Failpoints: server.accept (arg = accepted fd count), server.read and
 /// server.write (arg = connection id) — an injected accept fault skips

@@ -46,7 +46,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,10 +85,9 @@ int RunClient(const std::string& socket_path, int port) {
         server::ResponseKind::kMalformed) {
       ++protocol_errors;
     }
-    std::istringstream parsed(line);
-    std::string verb;
-    parsed >> verb;
-    if (verb == "quit" || verb == "exit") break;
+    // The verbs with no handler (quit/exit) end the session.
+    const server::VerbSpec* spec = server::ParseCommand(line).spec;
+    if (spec != nullptr && spec->handler == nullptr) break;
   }
   if (protocol_errors > 0) {
     std::cerr << protocol_errors << " malformed responses\n";

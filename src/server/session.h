@@ -6,7 +6,9 @@
 #include <optional>
 #include <ostream>
 #include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "advisor/advisor.h"
 #include "advisor/cost_cache.h"
@@ -33,11 +35,12 @@ namespace server {
 /// the caches that make repeated advising cheap, and the workload-
 /// management machinery. One instance per process (server) or per REPL.
 ///
-/// Concurrency contract: CommandDispatcher::Execute takes `mu` shared
-/// for read-only verbs and exclusive for verbs that mutate the database,
-/// catalog, or the capture/drift machinery, so any number of sessions
-/// may run/advise/explain concurrently while `gen`/`load`/`analyze`/
-/// `materialize`/`capture`/`drift` serialize against them. The caches
+/// Concurrency contract: CommandDispatcher::Execute takes `mu` per the
+/// verb table's lock class — shared for read-only verbs, exclusive for
+/// verbs that mutate the database, catalog, or the capture/drift
+/// machinery — so any number of sessions may run/advise/explain
+/// concurrently while `gen`/`load`/`analyze`/`materialize`/`capture`/
+/// `drift` serialize against them. The caches
 /// (`containment`, `what_if_cache`, `buffer_pool`) are internally
 /// thread-safe and shared by design.
 struct SharedState {
@@ -97,10 +100,65 @@ enum class CommandOutcome {
   kQuit,     // `quit` / `exit`: close the session.
 };
 
-/// Verb classification the server's admission control needs before
-/// dispatch: `kAdvise` verbs run the (expensive) advisor pipeline and
-/// count against the max-in-flight-advises bound.
-enum class VerbClass { kLight, kAdvise };
+/// How a verb holds SharedState::mu while its handler runs.
+enum class LockClass { kNone, kShared, kExclusive };
+
+/// Server admission: kAdvise verbs run the (expensive) advisor pipeline
+/// and count against the max-in-flight-advises bound.
+enum class Admission { kLight, kAdvise };
+
+/// Serving-state probes the Server answers itself, before dispatch and
+/// without locks (server.h). The dispatcher's own handlers for them are
+/// the REPL's fallbacks.
+enum class ServerProbe { kNone, kHealth, kReady, kDrain };
+
+struct VerbSpec;
+
+/// One request line, tokenized once: the first two tokens lowercased,
+/// plus the argument text with its case kept. Like `>>`, tokens split on
+/// whitespace; arguments end at the first newline after the verb.
+struct Command {
+  std::string verb;  // First token, lowercased; "" for a blank line.
+  std::string sub;   // Second token, lowercased; "" when absent.
+  std::string rest;  // Everything after the verb.
+  std::string args;  // Everything after the second token.
+  const VerbSpec* spec = nullptr;  // Table row; null for unknown verbs.
+};
+
+/// Every handler has this shape; it runs under the row's lock class.
+using VerbHandler = void (*)(SharedState& shared, ClientSession& session,
+                             const Command& command, std::ostream& out);
+
+/// One row of the verb table (session.cc) — the single source of truth
+/// for what the REPL, the server, `help` and the retrying client know
+/// about a verb.
+struct VerbSpec {
+  std::string_view verb;
+  /// A literal sub-verb, "" for the bare verb, or "*" for every other
+  /// second token. A sub-verb row wins over its verb's "*" row.
+  std::string_view sub = "*";
+  LockClass lock = LockClass::kShared;
+  Admission admission = Admission::kLight;
+  /// Safe to re-send after an ambiguous transport failure: read-only,
+  /// or session-local state that a reconnect loses anyway.
+  bool idempotent = false;
+  ServerProbe probe = ServerProbe::kNone;
+  /// Still answered (not GOAWAY) while the server drains.
+  bool drain_ok = false;
+  /// Null for `quit`/`exit`, which end the session.
+  VerbHandler handler = nullptr;
+  /// This row's `help` line; empty when a sibling's line covers it.
+  std::string_view help = "";
+};
+
+/// The verb table, in `help` order.
+std::span<const VerbSpec> VerbTable();
+
+/// Tokenizes `line` and looks its verb up in the table.
+Command ParseCommand(std::string_view line);
+
+/// The `help` text: every row's help line, in table order.
+const std::string& HelpText();
 
 class CommandDispatcher {
  public:
@@ -108,69 +166,14 @@ class CommandDispatcher {
   explicit CommandDispatcher(SharedState* shared) : shared_(shared) {}
 
   /// Executes one command line for `session`, writing the reply to
-  /// `out`. Takes SharedState::mu internally (shared or exclusive per
-  /// verb). Unknown verbs report an error message but are kHandled.
+  /// `out`. Takes SharedState::mu per the verb's lock class. Unknown
+  /// verbs report an error message but are kHandled.
   CommandOutcome Execute(const std::string& line, ClientSession* session,
                          std::ostream& out);
 
-  /// Admission classification of `line` (by its first tokens) without
-  /// executing anything: `advise` and `drift readvise` are kAdvise.
-  static VerbClass Classify(const std::string& line);
-
-  /// True when `verb` (lowercased first token) must hold SharedState::mu
-  /// exclusively. Exposed for tests.
-  static bool IsExclusiveVerb(const std::string& verb);
-
-  /// Sub-token-aware overload: `update` is a session-workload edit
-  /// (shared lock) when `sub` is insert|delete, and a DML document
-  /// update (exclusive) otherwise. All other verbs ignore `sub`.
-  static bool IsExclusiveVerb(const std::string& verb,
-                              const std::string& sub);
-
  private:
-  void CmdGen(std::istream& args, std::ostream& out);
-  void CmdLoad(std::istream& args, std::ostream& out);
-  void CmdSaveLoadColl(const std::string& verb, std::istream& args,
-                       std::ostream& out);
-  void CmdAnalyze(std::istream& args, std::ostream& out);
-  void CmdWorkload(ClientSession* session, std::istream& args,
-                   std::ostream& out);
-  void CmdQuery(ClientSession* session, const std::string& rest,
-                std::ostream& out);
-  void CmdUpdate(ClientSession* session, const std::string& rest,
-                 std::ostream& out);
-  // DML verbs (src/dml): insert <coll> <xml...>, delete <coll> <doc>,
-  // update <coll> <doc> <xml...>. All exclusive; WAL-logged when a
-  // persistence engine is attached.
-  void CmdInsert(const std::string& rest, std::ostream& out);
-  void CmdDelete(std::istream& args, std::ostream& out);
-  void CmdDmlUpdate(const std::string& rest, std::ostream& out);
-  void CmdShow(ClientSession* session, std::istream& args, std::ostream& out);
-  void CmdEnumerate(const std::string& rest, std::ostream& out);
-  void CmdAdvise(ClientSession* session, std::istream& args,
-                 std::ostream& out);
-  void CmdWhatIf(ClientSession* session, std::istream& args,
-                 std::ostream& out);
-  void CmdDdl(ClientSession* session, std::ostream& out);
-  void CmdMaterialize(ClientSession* session, std::ostream& out);
-  void CmdRun(const std::string& rest, std::ostream& out);
-  void CmdCapture(std::istream& args, std::ostream& out);
-  void CmdLog(std::istream& args, std::ostream& out);
-  void CmdDrift(ClientSession* session, std::istream& args,
-                std::ostream& out);
-  void CmdFailpoint(const std::string& rest, std::ostream& out);
-  void CmdDb(std::istream& args, std::ostream& out);
-  void CmdStats(std::ostream& out);
-
-  /// Checkpoints after a successful bulk (unlogged) mutation when a
-  /// persistence engine is attached; appends the outcome to `out`.
-  void CheckpointAfterBulk(std::ostream& out);
-
   SharedState* shared_;
 };
-
-/// The `help` text (shared by REPL banner and the server's `help` verb).
-const char* HelpText();
 
 }  // namespace server
 }  // namespace xia

@@ -42,8 +42,7 @@ constexpr double kBenefitEpsilon = 0.05;
 TEST(EnumerateBenefitSubsetsTest, DegreeOneIsEmptySetPlusSingletons) {
   bool capped = true;
   std::vector<std::vector<int>> subsets =
-      EnumerateBenefitSubsets({2, 5, 9}, /*max_degree=*/1,
-                              /*max_subsets=*/128, nullptr, &capped);
+      EnumerateBenefitSubsets({2, 5, 9}, /*max_subsets=*/128, &capped);
   EXPECT_FALSE(capped);
   ASSERT_EQ(subsets.size(), 4u);
   EXPECT_TRUE(subsets[0].empty());
@@ -52,37 +51,10 @@ TEST(EnumerateBenefitSubsetsTest, DegreeOneIsEmptySetPlusSingletons) {
   EXPECT_EQ(subsets[3], std::vector<int>({9}));
 }
 
-TEST(EnumerateBenefitSubsetsTest, DegreeTwoAddsPairsInLexicographicOrder) {
-  bool capped = true;
-  std::vector<std::vector<int>> subsets =
-      EnumerateBenefitSubsets({2, 5, 9}, /*max_degree=*/2,
-                              /*max_subsets=*/128, nullptr, &capped);
-  EXPECT_FALSE(capped);
-  ASSERT_EQ(subsets.size(), 7u);
-  EXPECT_EQ(subsets[4], std::vector<int>({2, 5}));
-  EXPECT_EQ(subsets[5], std::vector<int>({2, 9}));
-  EXPECT_EQ(subsets[6], std::vector<int>({5, 9}));
-}
-
-TEST(EnumerateBenefitSubsetsTest, AncestorPruningDropsComparablePairs) {
-  // Candidate 0 strictly generalizes candidate 1; 2 is incomparable.
-  std::vector<Bitmap> ancestors(3, Bitmap(3));
-  ancestors[1].Set(0);
-  bool capped = true;
-  std::vector<std::vector<int>> subsets = EnumerateBenefitSubsets(
-      {0, 1, 2}, /*max_degree=*/2, /*max_subsets=*/128, &ancestors, &capped);
-  EXPECT_FALSE(capped);
-  // Empty + three singletons + {0,2} + {1,2}; {0,1} is pruned.
-  ASSERT_EQ(subsets.size(), 6u);
-  EXPECT_EQ(subsets[4], std::vector<int>({0, 2}));
-  EXPECT_EQ(subsets[5], std::vector<int>({1, 2}));
-}
-
 TEST(EnumerateBenefitSubsetsTest, CapTruncatesAndReportsDeterministically) {
   bool capped = false;
   std::vector<std::vector<int>> subsets =
-      EnumerateBenefitSubsets({1, 2, 3, 4}, /*max_degree=*/2,
-                              /*max_subsets=*/3, nullptr, &capped);
+      EnumerateBenefitSubsets({1, 2, 3, 4}, /*max_subsets=*/3, &capped);
   EXPECT_TRUE(capped);
   // The cap keeps the size-ascending prefix: empty + first two singletons.
   ASSERT_EQ(subsets.size(), 3u);
@@ -106,7 +78,7 @@ TEST(BenefitTableMechanicsTest, SubsetKeyMatchesCostCacheSignatureTail) {
 }
 
 TEST(BenefitTableMechanicsTest, LookupIsExactAndFirstInsertWins) {
-  BenefitTable table(/*max_degree=*/1);
+  BenefitTable table;
   table.Insert(0, {}, Entry(10.0));
   table.Insert(0, {1}, Entry(7.0, {1}));
   table.Insert(0, {1}, Entry(99.0));  // Ignored: first insert wins.
@@ -120,7 +92,7 @@ TEST(BenefitTableMechanicsTest, LookupIsExactAndFirstInsertWins) {
 }
 
 TEST(BenefitTableMechanicsTest, ComposeTakesMinOverPricedSubsets) {
-  BenefitTable table(/*max_degree=*/1);
+  BenefitTable table;
   table.Insert(0, {}, Entry(10.0));
   table.Insert(0, {1}, Entry(7.0, {1}));
   table.Insert(0, {2}, Entry(8.0, {2}));
@@ -137,7 +109,7 @@ TEST(BenefitTableMechanicsTest, ComposeTakesMinOverPricedSubsets) {
 }
 
 TEST(BenefitTableMechanicsTest, TruncationIsSticky) {
-  BenefitTable table(/*max_degree=*/1);
+  BenefitTable table;
   EXPECT_FALSE(table.truncated());
   table.MarkTruncated(StopReason::kDeadline);
   EXPECT_TRUE(table.truncated());
@@ -175,15 +147,14 @@ class BenefitDecompositionTest : public ::testing::Test {
     std::unique_ptr<ConfigurationEvaluator> evaluator =
         MakeEvaluator(threads);
     Result<BenefitPricingReport> report =
-        evaluator->PriceBenefitTable(opts, &dag_, deadline);
+        evaluator->PriceBenefitTable(opts, deadline);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return evaluator;
   }
 
-  static DecomposeOptions Degree(int degree, bool compose = true) {
+  static DecomposeOptions Decompose(bool compose = true) {
     DecomposeOptions opts;
     opts.enabled = true;
-    opts.max_degree = degree;
     opts.compose_above_degree = compose;
     return opts;
   }
@@ -200,28 +171,11 @@ class BenefitDecompositionTest : public ::testing::Test {
 
 constexpr double kBudget = 64.0 * 1024;
 
-TEST_F(BenefitDecompositionTest, DagAncestorsMatchesDagStructure) {
-  std::vector<Bitmap> ancestors = DagAncestors(dag_);
-  ASSERT_EQ(ancestors.size(), candidates_.size());
-  // Every DAG edge parent→child makes the parent a strict ancestor of the
-  // child, and ancestry is transitive through grandparents.
-  for (size_t n = 0; n < dag_.nodes().size(); ++n) {
-    for (int parent : dag_.nodes()[n].parents) {
-      EXPECT_TRUE(ancestors[n].Test(static_cast<size_t>(parent)));
-      for (int grand : dag_.nodes()[static_cast<size_t>(parent)].parents) {
-        EXPECT_TRUE(ancestors[n].Test(static_cast<size_t>(grand)));
-      }
-    }
-    // Strict: nothing is its own ancestor.
-    EXPECT_FALSE(ancestors[n].Test(n));
-  }
-}
-
 TEST_F(BenefitDecompositionTest, PricingIsDeterministicAcrossThreadCounts) {
   std::unique_ptr<ConfigurationEvaluator> serial =
-      MakeDecomposed(Degree(2), /*threads=*/1);
+      MakeDecomposed(Decompose(), /*threads=*/1);
   std::unique_ptr<ConfigurationEvaluator> parallel =
-      MakeDecomposed(Degree(2), /*threads=*/4);
+      MakeDecomposed(Decompose(), /*threads=*/4);
   ASSERT_TRUE(serial->decomposed());
   ASSERT_TRUE(parallel->decomposed());
   EXPECT_GT(serial->benefit_table()->entries(), 0u);
@@ -236,7 +190,7 @@ TEST_F(BenefitDecompositionTest, PricingIsDeterministicAcrossThreadCounts) {
 TEST_F(BenefitDecompositionTest, TableHitsAreExactNotEstimates) {
   std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
   std::unique_ptr<ConfigurationEvaluator> decomposed =
-      MakeDecomposed(Degree(1));
+      MakeDecomposed(Decompose());
   // Singleton configurations: every query's relevant overlap is a priced
   // subset, so the decomposed evaluation must be bit-identical.
   for (int c : {0, 1}) {
@@ -255,7 +209,7 @@ TEST_F(BenefitDecompositionTest, TableHitsAreExactNotEstimates) {
 TEST_F(BenefitDecompositionTest, ComposedScoreIsConservativeUpperBound) {
   std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
   std::unique_ptr<ConfigurationEvaluator> decomposed =
-      MakeDecomposed(Degree(1));
+      MakeDecomposed(Decompose());
   std::vector<int> all(candidates_.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   Result<ConfigurationEvaluator::Evaluation> e = exact->Evaluate(all);
@@ -302,7 +256,7 @@ TEST_F(BenefitDecompositionTest, ComposeOffIsBitIdenticalToExactSearch) {
   for (const Algorithm& algorithm : algorithms) {
     std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
     std::unique_ptr<ConfigurationEvaluator> decomposed =
-        MakeDecomposed(Degree(1, /*compose=*/false));
+        MakeDecomposed(Decompose(/*compose=*/false));
     Result<SearchResult> e = algorithm.run(exact.get());
     Result<SearchResult> d = algorithm.run(decomposed.get());
     ASSERT_TRUE(e.ok()) << algorithm.name;
@@ -319,13 +273,13 @@ TEST_F(BenefitDecompositionTest, FallbackAndComposedAccounting) {
   // Candidates 0 and 1 are both relevant to the namerica quantity
   // queries, so the {0,1} overlap exceeds a degree-1 table.
   std::unique_ptr<ConfigurationEvaluator> no_compose =
-      MakeDecomposed(Degree(1, /*compose=*/false));
+      MakeDecomposed(Decompose(/*compose=*/false));
   ASSERT_TRUE(no_compose->Evaluate({0, 1}).ok());
   BenefitTableStats stats = no_compose->benefit_table()->stats();
   EXPECT_GT(stats.fallback_whatifs, 0u);
   EXPECT_EQ(stats.composed, 0u);
 
-  std::unique_ptr<ConfigurationEvaluator> compose = MakeDecomposed(Degree(1));
+  std::unique_ptr<ConfigurationEvaluator> compose = MakeDecomposed(Decompose());
   ASSERT_TRUE(compose->Evaluate({0, 1}).ok());
   stats = compose->benefit_table()->stats();
   EXPECT_GT(stats.composed, 0u);
@@ -334,7 +288,7 @@ TEST_F(BenefitDecompositionTest, FallbackAndComposedAccounting) {
 
 TEST_F(BenefitDecompositionTest, DecomposedTraceCarriesTableStats) {
   std::unique_ptr<ConfigurationEvaluator> decomposed =
-      MakeDecomposed(Degree(1));
+      MakeDecomposed(Decompose());
   SearchOptions options;
   options.space_budget_bytes = kBudget;
   Result<SearchResult> result = GreedySearch(decomposed.get(), options);
@@ -364,8 +318,8 @@ TEST_F(BenefitDecompositionTest, DecomposedTraceCarriesTableStats) {
 
 TEST_F(BenefitDecompositionTest, ExpiredDeadlineYieldsUsablePartialTable) {
   std::unique_ptr<ConfigurationEvaluator> evaluator = MakeEvaluator();
-  Result<BenefitPricingReport> report = evaluator->PriceBenefitTable(
-      Degree(1), &dag_, Deadline::AfterMillis(0));
+  Result<BenefitPricingReport> report =
+      evaluator->PriceBenefitTable(Decompose(), Deadline::AfterMillis(0));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->stop_reason, StopReason::kDeadline);
   EXPECT_LT(report->subsets_priced, report->subsets_enumerated);
@@ -388,8 +342,8 @@ TEST_F(BenefitDecompositionTest, PreCancelledTokenStopsPricing) {
   CancelToken token = CancelToken::Cancellable();
   token.Cancel();
   evaluator->set_cancel(token);
-  Result<BenefitPricingReport> report = evaluator->PriceBenefitTable(
-      Degree(1), &dag_, Deadline::Infinite());
+  Result<BenefitPricingReport> report =
+      evaluator->PriceBenefitTable(Decompose(), Deadline::Infinite());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->stop_reason, StopReason::kCancelled);
   EXPECT_TRUE(evaluator->benefit_table()->truncated());
@@ -444,7 +398,6 @@ TEST_F(BenefitAdvisorTest, PromisedBenefitWithinEpsilonForAllAlgorithms) {
 
     AdvisorOptions decomposed_options = Options(algorithm);
     decomposed_options.decompose.enabled = true;
-    decomposed_options.decompose.max_degree = 2;
     Result<Recommendation> decomposed =
         Advisor(&db_, &catalog_, decomposed_options).Recommend(workload);
     ASSERT_TRUE(decomposed.ok()) << SearchAlgorithmName(algorithm);

@@ -221,6 +221,41 @@ TEST_F(ServerTest, UnknownVerbStillHandled) {
   EXPECT_EQ(*pong, OkResponse("pong\n"));
 }
 
+TEST_F(ServerTest, GarbageVerbsCannotGrowTheRegistry) {
+  StartServer();
+  BlockingClient client = Connect();
+  // Warm up: the first unknown verb and the first `stats` create the
+  // histograms every later request of theirs records into.
+  ASSERT_TRUE(client.Call("garbage-warmup").ok());
+  ASSERT_TRUE(client.Call("stats").ok());
+  // Counter values grow between the two snapshots; compare the replies
+  // with every digit run collapsed, which keeps every metric name.
+  auto stats_shape = [&client] {
+    Result<std::string> reply = client.Call("stats");
+    EXPECT_TRUE(reply.ok());
+    std::string shape;
+    for (char c : reply.ok() ? *reply : std::string()) {
+      bool digit = c >= '0' && c <= '9';
+      if (!digit || shape.empty() || shape.back() != '#') {
+        shape += digit ? '#' : c;
+      }
+    }
+    return shape;
+  };
+  const std::string before = stats_shape();
+  const size_t spans_before = obs::Registry().TakeSnapshot().spans.size();
+  for (int i = 0; i < 10000; ++i) {
+    Result<std::string> reply = client.Call("garbage" + std::to_string(i));
+    ASSERT_TRUE(reply.ok());
+    ASSERT_NE(reply->find("unknown command"), std::string::npos);
+  }
+  EXPECT_EQ(obs::Registry().TakeSnapshot().spans.size(), spans_before);
+  const std::string after = stats_shape();
+  EXPECT_EQ(after.size(), before.size());
+  EXPECT_EQ(after, before);
+  EXPECT_NE(after.find("span.server.verb.unknown"), std::string::npos);
+}
+
 TEST_F(ServerTest, ConcurrentAdvisesEqualSingleSessionAdvise) {
   Preload(3);
   ServerOptions options;
@@ -637,7 +672,7 @@ TEST(DispatcherBudgetTest, BudgetMsRequiresNonNegativeInteger) {
 TEST(DispatcherDbTest, DbVerbWithoutEngineReportsMemoryOnly) {
   SharedState shared;
   ClientSession session(shared);
-  EXPECT_TRUE(CommandDispatcher::IsExclusiveVerb("db"));
+  EXPECT_EQ(ParseCommand("db").spec->lock, LockClass::kExclusive);
   EXPECT_NE(Dispatch(&shared, &session, "db status").find("persistence: off"),
             std::string::npos);
   EXPECT_NE(
