@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iostream>
 #include <set>
+#include <string>
 
 #include "advisor/advisor.h"
 #include "advisor/analysis.h"
+#include "common/string_util.h"
 #include "exec/executor.h"
 #include "workload/tpox_queries.h"
 #include "workload/variation.h"
@@ -103,78 +107,6 @@ TEST_F(AdvisorIntegrationTest, RecommendationNamesAreUnique) {
   }
 }
 
-TEST_F(AdvisorIntegrationTest, AnalysisThreeWayComparison) {
-  Advisor advisor(&db_, &catalog_,
-                  Options(SearchAlgorithm::kGreedyHeuristic));
-  Result<Recommendation> rec = advisor.Recommend(workload_);
-  ASSERT_TRUE(rec.ok());
-  Result<RecommendationAnalysis> analysis =
-      AnalyzeRecommendation(db_, catalog_, workload_, *rec,
-                            advisor.options().cost_model, advisor.cache());
-  ASSERT_TRUE(analysis.ok());
-  ASSERT_EQ(analysis->rows.size(), workload_.size());
-  for (const QueryCostRow& row : analysis->rows) {
-    // Indexes never hurt an individual query's estimated cost.
-    EXPECT_LE(row.cost_recommended, row.cost_no_index + 1e-9);
-    // The overtrained configuration is the per-workload optimum.
-    EXPECT_LE(row.cost_overtrained, row.cost_no_index + 1e-9);
-  }
-  EXPECT_LT(analysis->total_recommended, analysis->total_no_index);
-  EXPECT_LE(analysis->total_overtrained,
-            analysis->total_recommended + 1e-9);
-  EXPECT_NE(analysis->ToTable().find("TOTAL"), std::string::npos);
-}
-
-TEST_F(AdvisorIntegrationTest, GeneralizedConfigHelpsUnseenQueries) {
-  AdvisorOptions options = Options(SearchAlgorithm::kTopDown);
-  Advisor advisor(&db_, &catalog_, options);
-  Result<Recommendation> rec = advisor.Recommend(workload_);
-  ASSERT_TRUE(rec.ok());
-
-  Random rng(99);
-  Workload unseen = MakeXMarkUnseenWorkload("xmark", &rng, 12);
-  Result<EvaluateIndexesResult> without = EvaluateConfigurationOnWorkload(
-      db_, catalog_, {}, unseen, options.cost_model, advisor.cache());
-  Result<EvaluateIndexesResult> with = EvaluateConfigurationOnWorkload(
-      db_, catalog_, rec->indexes, unseen, options.cost_model,
-      advisor.cache());
-  ASSERT_TRUE(without.ok());
-  ASSERT_TRUE(with.ok());
-  EXPECT_LT(with->total_weighted_cost, without->total_weighted_cost);
-}
-
-TEST_F(AdvisorIntegrationTest, MaterializeAndExecuteRecommendation) {
-  AdvisorOptions options = Options(SearchAlgorithm::kGreedyHeuristic);
-  Advisor advisor(&db_, &catalog_, options);
-  Result<Recommendation> rec = advisor.Recommend(workload_);
-  ASSERT_TRUE(rec.ok());
-
-  Result<double> built = MaterializeConfiguration(
-      db_, rec->indexes, &catalog_, options.cost_model.storage);
-  ASSERT_TRUE(built.ok());
-  EXPECT_GT(*built, 0.0);
-  EXPECT_EQ(catalog_.size(), rec->indexes.size());
-
-  // Every workload query now optimizes to a physical plan and executes,
-  // returning the same results as a collection scan.
-  Optimizer optimizer(&db_, options.cost_model);
-  Executor executor(&db_, &catalog_, options.cost_model);
-  Catalog empty;
-  for (const Query& query : workload_.queries()) {
-    Result<QueryPlan> idx_plan =
-        optimizer.Optimize(query, catalog_, advisor.cache());
-    Result<QueryPlan> scan_plan =
-        optimizer.Optimize(query, empty, advisor.cache());
-    ASSERT_TRUE(idx_plan.ok());
-    ASSERT_TRUE(scan_plan.ok());
-    Result<ExecResult> idx_run = executor.Execute(*idx_plan);
-    Result<ExecResult> scan_run = executor.Execute(*scan_plan);
-    ASSERT_TRUE(idx_run.ok()) << query.id;
-    ASSERT_TRUE(scan_run.ok()) << query.id;
-    EXPECT_EQ(idx_run->nodes, scan_run->nodes) << query.id;
-  }
-}
-
 TEST_F(AdvisorIntegrationTest, MultiCollectionTpoxPipeline) {
   Database tpox;
   TpoxParams params;
@@ -220,6 +152,169 @@ TEST_F(AdvisorIntegrationTest, UpdateHeavyWorkloadShrinksConfig) {
   // more beneficial than the update-free one.
   EXPECT_LE(rec_up->benefit, rec_no->benefit + 1e-9);
 }
+
+// ------------- Figure 5 and actual execution, each over several inputs.
+
+struct Scenario {
+  const char* dataset;  // "xmark" or "tpox".
+  int docs;             // XMark documents (the TPoX size is fixed).
+  SearchAlgorithm algorithm;
+  double budget_kb;
+};
+
+std::ostream& operator<<(std::ostream& os, const Scenario& s) {
+  return os << s.dataset << "/" << s.docs << " docs/"
+            << SearchAlgorithmName(s.algorithm) << "/" << s.budget_kb << " KB";
+}
+
+class ScenarioTest : public ::testing::TestWithParam<Scenario> {
+ protected:
+  void SetUp() override {
+    const Scenario& s = GetParam();
+    if (std::string(s.dataset) == "xmark") {
+      XMarkParams params;
+      ASSERT_TRUE(PopulateXMark(&db_, "xmark", s.docs, params, 42).ok());
+      workload_ = MakeXMarkWorkload("xmark");
+    } else {
+      TpoxParams params;
+      ASSERT_TRUE(PopulateTpox(&db_, 100, 200, 40, params, 11).ok());
+      workload_ = MakeTpoxWorkload();
+    }
+    options_.algorithm = s.algorithm;
+    options_.space_budget_bytes = s.budget_kb * 1024;
+  }
+
+  Database db_;
+  Catalog catalog_;
+  Workload workload_;
+  AdvisorOptions options_;
+};
+
+// Figure 5's analysis screen: under the recommended configuration every
+// training query is cheaper than with no indexes and the overtrained
+// configuration (all basic candidates) is the per-workload floor; the
+// same configuration also cuts the total cost of unseen variations;
+// dropping an index from it never makes the workload cheaper. Prints
+// the three-way table and the unseen per-query costs.
+using RecommendationAnalysisTest = ScenarioTest;
+
+TEST_P(RecommendationAnalysisTest, TrainingQueriesCheaperAndUnseenDrops) {
+  Advisor advisor(&db_, &catalog_, options_);
+  Result<Recommendation> rec = advisor.Recommend(workload_);
+  ASSERT_TRUE(rec.ok());
+  std::cout << rec->Report() << "\n";
+  Result<RecommendationAnalysis> analysis =
+      AnalyzeRecommendation(db_, catalog_, workload_, *rec,
+                            options_.cost_model, advisor.cache());
+  ASSERT_TRUE(analysis.ok());
+  std::cout << analysis->ToTable() << "\n";
+  EXPECT_NE(analysis->ToTable().find("TOTAL"), std::string::npos);
+  ASSERT_EQ(analysis->rows.size(), workload_.size());
+  for (const QueryCostRow& row : analysis->rows) {
+    EXPECT_LT(row.cost_recommended, row.cost_no_index) << row.query_id;
+    EXPECT_LE(row.cost_overtrained, row.cost_no_index + 1e-9) << row.query_id;
+  }
+  EXPECT_LE(analysis->total_overtrained, analysis->total_recommended + 1e-9);
+
+  Random rng(99);
+  Workload unseen = MakeXMarkUnseenWorkload("xmark", &rng, 12);
+  Result<EvaluateIndexesResult> without = EvaluateConfigurationOnWorkload(
+      db_, catalog_, {}, unseen, options_.cost_model, advisor.cache());
+  Result<EvaluateIndexesResult> with = EvaluateConfigurationOnWorkload(
+      db_, catalog_, rec->indexes, unseen, options_.cost_model,
+      advisor.cache());
+  ASSERT_TRUE(without.ok());
+  ASSERT_TRUE(with.ok());
+  for (size_t i = 0; i < unseen.size(); ++i) {
+    std::cout << "  " << unseen.queries()[i].id << ": "
+              << FormatDouble(without->plans[i].total_cost) << " -> "
+              << FormatDouble(with->plans[i].total_cost) << "  via "
+              << with->plans[i].access.ToString() << "\n";
+  }
+  std::cout << "  unseen TOTAL: "
+            << FormatDouble(without->total_weighted_cost) << " -> "
+            << FormatDouble(with->total_weighted_cost) << "\n";
+  EXPECT_LT(with->total_weighted_cost, without->total_weighted_cost);
+
+  ASSERT_FALSE(rec->indexes.empty());
+  std::vector<IndexDefinition> modified = rec->indexes;
+  modified.pop_back();
+  Result<EvaluateIndexesResult> after = EvaluateConfigurationOnWorkload(
+      db_, catalog_, modified, workload_, options_.cost_model, advisor.cache());
+  ASSERT_TRUE(after.ok());
+  std::cout << "  drop " << rec->indexes.back().pattern.ToString()
+            << ": training cost " << FormatDouble(analysis->total_recommended)
+            << " -> " << FormatDouble(after->total_weighted_cost) << "\n";
+  EXPECT_GE(after->total_weighted_cost, analysis->total_recommended - 1e-9);
+}
+
+// The 12-document top-down instance is Figure 5 itself.
+INSTANTIATE_TEST_SUITE_P(
+    Figure5, RecommendationAnalysisTest,
+    ::testing::Values(
+        Scenario{"xmark", 6, SearchAlgorithm::kGreedyHeuristic, 128},
+        Scenario{"xmark", 6, SearchAlgorithm::kTopDown, 128},
+        Scenario{"xmark", 12, SearchAlgorithm::kTopDown, 128}));
+
+// The paper's last demo step: create the recommended configuration for
+// real and execute. Materialized sizes equal the advisor's estimates,
+// every query returns the same rows under its index plan as under a
+// scan, and reads fewer (simulated) pages. Prints per-query wall times
+// and page counts; the times are informational.
+using MaterializedExecutionTest = ScenarioTest;
+
+TEST_P(MaterializedExecutionTest, IndexPlansMatchScansAndReadFewerPages) {
+  Advisor advisor(&db_, &catalog_, options_);
+  Result<Recommendation> rec = advisor.Recommend(workload_);
+  ASSERT_TRUE(rec.ok());
+  Result<double> built = MaterializeConfiguration(
+      db_, rec->indexes, &catalog_, options_.cost_model.storage);
+  ASSERT_TRUE(built.ok());
+  EXPECT_GT(*built, 0.0);
+  EXPECT_EQ(catalog_.size(), rec->indexes.size());
+  EXPECT_NEAR(*built, rec->total_size_bytes, 1e-6 * *built);
+  std::printf("%zu indexes: %s actual, %s estimated\n",
+              rec->indexes.size(), FormatBytes(*built).c_str(),
+              FormatBytes(rec->total_size_bytes).c_str());
+
+  Optimizer optimizer(&db_, options_.cost_model);
+  Executor executor(&db_, &catalog_, options_.cost_model);
+  Catalog empty;
+  std::printf("%-6s %12s %12s %12s %12s %8s\n", "query", "scan(us)",
+              "indexed(us)", "scan-pages", "idx-pages", "rows");
+  double scan_total = 0;
+  double idx_total = 0;
+  for (const Query& query : workload_.queries()) {
+    Result<QueryPlan> idx_plan =
+        optimizer.Optimize(query, catalog_, advisor.cache());
+    Result<QueryPlan> scan_plan =
+        optimizer.Optimize(query, empty, advisor.cache());
+    ASSERT_TRUE(idx_plan.ok());
+    ASSERT_TRUE(scan_plan.ok());
+    Result<ExecResult> idx_run = executor.Execute(*idx_plan);
+    Result<ExecResult> scan_run = executor.Execute(*scan_plan);
+    ASSERT_TRUE(idx_run.ok()) << query.id;
+    ASSERT_TRUE(scan_run.ok()) << query.id;
+    EXPECT_EQ(idx_run->nodes, scan_run->nodes) << query.id;
+    EXPECT_LT(idx_run->simulated_page_reads, scan_run->simulated_page_reads)
+        << query.id;
+    scan_total += scan_run->wall_micros;
+    idx_total += idx_run->wall_micros;
+    std::printf("%-6s %12.0f %12.0f %12.0f %12.1f %8zu\n", query.id.c_str(),
+                scan_run->wall_micros, idx_run->wall_micros,
+                scan_run->simulated_page_reads,
+                idx_run->simulated_page_reads, idx_run->nodes.size());
+  }
+  std::printf("%-6s %12.0f %12.0f\n", "TOTAL", scan_total, idx_total);
+}
+
+// The 512 KB instances are the actual-execution table.
+INSTANTIATE_TEST_SUITE_P(
+    ActualExecution, MaterializedExecutionTest,
+    ::testing::Values(
+        Scenario{"xmark", 6, SearchAlgorithm::kGreedyHeuristic, 128},
+        Scenario{"xmark", 20, SearchAlgorithm::kGreedyHeuristic, 512},
+        Scenario{"tpox", 0, SearchAlgorithm::kGreedyHeuristic, 512}));
 
 }  // namespace
 }  // namespace xia

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "exec/executor.h"
@@ -97,6 +98,47 @@ TEST_F(AndingTest, IxandCheaperThanSingleIndexPlan) {
   ASSERT_TRUE(anded->access.has_secondary);
   EXPECT_FALSE(single->access.has_secondary);
   EXPECT_LT(anded->total_cost, single->total_cost);
+}
+
+// The selectivity sweep: a fixed price < 100 predicate against quantity
+// thresholds from unselective to selective. Enabling IXAND never makes
+// the optimizer's pick costlier than the best single probe, both plan
+// shapes return identical rows, and the crossover is reached somewhere in
+// the sweep. Prints one row per threshold; wall times are informational.
+TEST_F(AndingTest, SelectivitySweepCrossover) {
+  Optimizer with_anding(&db_, cost_model_, OptimizerOptions{true});
+  Optimizer without_anding(&db_, cost_model_, OptimizerOptions{false});
+  Executor executor(&db_, &catalog_, cost_model_);
+  std::printf("%-28s %12s %12s %8s %10s %10s\n",
+              "predicates (quantity,price)", "single-cost", "ixand-cost",
+              "chosen", "single-us", "ixand-us");
+  int ixand_chosen = 0;
+  for (int q_threshold : {1, 3, 5, 7, 8, 9}) {
+    std::string text =
+        "for $i in doc(\"xmark\")/site/regions/africa/item where "
+        "$i/quantity > " +
+        std::to_string(q_threshold) + " and $i/price < 100 return $i/name";
+    Query query = Parse(text);
+    Result<QueryPlan> single =
+        without_anding.Optimize(query, catalog_, &cache_);
+    Result<QueryPlan> anded = with_anding.Optimize(query, catalog_, &cache_);
+    ASSERT_TRUE(single.ok());
+    ASSERT_TRUE(anded.ok());
+    EXPECT_LE(anded->total_cost, single->total_cost) << q_threshold;
+    Result<ExecResult> single_run = executor.Execute(*single);
+    Result<ExecResult> anded_run = executor.Execute(*anded);
+    ASSERT_TRUE(single_run.ok());
+    ASSERT_TRUE(anded_run.ok());
+    EXPECT_EQ(single_run->nodes, anded_run->nodes) << q_threshold;
+    if (anded->access.has_secondary) ++ixand_chosen;
+    std::printf("%-28s %12.2f %12.2f %8s %10.1f %10.1f\n",
+                ("quantity>" + std::to_string(q_threshold) + ", price<100")
+                    .c_str(),
+                single->total_cost, anded->total_cost,
+                anded->access.has_secondary ? "IXAND" : "single",
+                single_run->wall_micros, anded_run->wall_micros);
+  }
+  EXPECT_GE(ixand_chosen, 1);
 }
 
 TEST_F(AndingTest, DisabledOptionNeverProducesSecondary) {

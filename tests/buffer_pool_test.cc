@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <vector>
+
 #include "exec/executor.h"
 #include "index/index_builder.h"
 #include "optimizer/optimizer.h"
@@ -98,11 +101,11 @@ TEST(BufferPoolTest, PageIdSpacesDisjoint) {
 
 // ---------------------------------------------------- Executor coupling.
 
-class BufferedExecutionTest : public ::testing::Test {
+class BufferedExecutionTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
     XMarkParams params;
-    ASSERT_TRUE(PopulateXMark(&db_, "xmark", 10, params, 42).ok());
+    ASSERT_TRUE(PopulateXMark(&db_, "xmark", GetParam(), params, 42).ok());
     for (const auto& [name, pattern] :
          std::vector<std::pair<std::string, std::string>>{
              {"q_idx", "/site/regions/africa/item/quantity"},
@@ -143,7 +146,7 @@ constexpr const char* kQuery =
     "for $i in doc(\"xmark\")/site/regions/africa/item "
     "where $i/quantity > 5 return $i/name";
 
-TEST_F(BufferedExecutionTest, SecondScanRunsWarm) {
+TEST_P(BufferedExecutionTest, SecondScanRunsWarm) {
   BufferPool pool(100000);
   Executor executor(&db_, &catalog_, cost_model_, &pool);
   Catalog empty;
@@ -158,7 +161,7 @@ TEST_F(BufferedExecutionTest, SecondScanRunsWarm) {
   EXPECT_EQ(warm->buffer_hits, cold->buffer_misses);
 }
 
-TEST_F(BufferedExecutionTest, IndexPlanReadsFewerColdPagesThanScan) {
+TEST_P(BufferedExecutionTest, IndexPlanReadsFewerColdPagesThanScan) {
   // Selective predicate: very few africa items cost more than 495, so the
   // index plan only touches the handful of qualifying documents.
   const char* selective =
@@ -183,7 +186,7 @@ TEST_F(BufferedExecutionTest, IndexPlanReadsFewerColdPagesThanScan) {
   EXPECT_EQ(scan->nodes, idx->nodes);  // Caching never changes results.
 }
 
-TEST_F(BufferedExecutionTest, SmallPoolThrashes) {
+TEST_P(BufferedExecutionTest, SmallPoolThrashes) {
   Catalog empty;
   QueryPlan plan = Plan(kQuery, empty);
   BufferPool tiny(4);
@@ -196,7 +199,7 @@ TEST_F(BufferedExecutionTest, SmallPoolThrashes) {
   EXPECT_GT(second->buffer_misses, 0u);
 }
 
-TEST_F(BufferedExecutionTest, NoPoolReportsZeroCounters) {
+TEST_P(BufferedExecutionTest, NoPoolReportsZeroCounters) {
   Executor executor(&db_, &catalog_, cost_model_);
   Catalog empty;
   Result<ExecResult> run = executor.Execute(Plan(kQuery, empty));
@@ -204,6 +207,51 @@ TEST_F(BufferedExecutionTest, NoPoolReportsZeroCounters) {
   EXPECT_EQ(run->buffer_hits, 0u);
   EXPECT_EQ(run->buffer_misses, 0u);
 }
+
+// Cold and warm physical reads for a scan and an index plan across pool
+// sizes: the index plan reads fewer cold pages at every size, and a
+// re-execution is fully warm whenever the pool holds the plan's working
+// set. Prints one row per pool size and plan.
+TEST_P(BufferedExecutionTest, PoolSizeSweepKeepsIndexAdvantage) {
+  const char* query =
+      "for $i in doc(\"xmark\")/site/regions/africa/item "
+      "where $i/price > 480 return $i/name";
+  Catalog empty;
+  QueryPlan scan_plan = Plan(query, empty);
+  QueryPlan idx_plan = Plan(query, catalog_);
+  ASSERT_TRUE(idx_plan.access.use_index);
+  std::printf("%-12s %-8s %12s %12s %12s\n", "pool(pages)", "plan",
+              "cold-misses", "warm-misses", "warm-hits");
+  for (size_t pool_pages : {64, 512, 4096, 100000}) {
+    uint64_t cold_misses[2] = {0, 0};
+    std::vector<NodeRef> nodes[2];
+    for (bool use_index : {false, true}) {
+      BufferPool pool(pool_pages);
+      Executor executor(&db_, &catalog_, cost_model_, &pool);
+      const QueryPlan& plan = use_index ? idx_plan : scan_plan;
+      Result<ExecResult> cold = executor.Execute(plan);
+      Result<ExecResult> warm = executor.Execute(plan);
+      ASSERT_TRUE(cold.ok());
+      ASSERT_TRUE(warm.ok());
+      cold_misses[use_index] = cold->buffer_misses;
+      nodes[use_index] = cold->nodes;
+      if (cold->buffer_misses <= pool_pages) {
+        EXPECT_EQ(warm->buffer_misses, 0u) << pool_pages << " " << use_index;
+      }
+      std::printf("%-12zu %-8s %12lu %12lu %12lu\n", pool_pages,
+                  use_index ? "index" : "scan",
+                  static_cast<unsigned long>(cold->buffer_misses),
+                  static_cast<unsigned long>(warm->buffer_misses),
+                  static_cast<unsigned long>(warm->buffer_hits));
+    }
+    EXPECT_LT(cold_misses[1], cold_misses[0]) << pool_pages;
+    EXPECT_EQ(nodes[0], nodes[1]);
+  }
+}
+
+// 30 documents is the buffer-pool table's database.
+INSTANTIATE_TEST_SUITE_P(Docs, BufferedExecutionTest,
+                         ::testing::Values(10, 30));
 
 }  // namespace
 }  // namespace xia

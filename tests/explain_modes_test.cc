@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "optimizer/explain.h"
 #include "query/parser.h"
+#include "workload/tpox_queries.h"
+#include "workload/xmark_queries.h"
+#include "xmldata/tpox_gen.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
 
@@ -74,6 +80,66 @@ TEST_F(ExplainModesTest, EnumeratesPredicateAndForPathCandidates) {
     EXPECT_EQ(c.pattern.ToString().find("/name"), std::string::npos);
   }
 }
+
+// Figure 2 over whole workloads, XQuery and SQL/XML alike: every query
+// enumerates a sargable candidate of the implied key type for each value
+// predicate, and its FOR path as a structural VARCHAR candidate; nothing
+// else (RETURN-only paths never become candidates). Prints every
+// query's candidates.
+class EnumerateWorkloadTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EnumerateWorkloadTest, EveryQueryEnumeratesPredicateAndForPaths) {
+  Database db;
+  Workload workload;
+  if (GetParam() == "xmark") {
+    XMarkParams params;
+    ASSERT_TRUE(PopulateXMark(&db, "xmark", 10, params, 42).ok());
+    workload = MakeXMarkWorkload("xmark");
+  } else {
+    TpoxParams params;
+    ASSERT_TRUE(PopulateTpox(&db, 40, 80, 20, params, 11).ok());
+    workload = MakeTpoxWorkload();
+  }
+  ContainmentCache cache;
+  size_t total = 0;
+  for (const Query& query : workload.queries()) {
+    Result<EnumerateIndexesResult> result =
+        EnumerateIndexesMode(db, query, &cache);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::printf("[%s %s] %s\n", query.id.c_str(),
+                QueryLanguageName(query.language), query.text.c_str());
+    const NormalizedQuery& nq = query.normalized;
+    auto find = [&](const PathPattern& pattern, ValueType type) {
+      for (const CandidatePattern& c : result->candidates) {
+        if (c.pattern == pattern && c.type == type) return &c;
+      }
+      return static_cast<const CandidatePattern*>(nullptr);
+    };
+    for (const QueryPredicate& pred : nq.predicates) {
+      if (pred.op == CompareOp::kExists) continue;
+      const CandidatePattern* c = find(pred.pattern, pred.ImpliedType());
+      ASSERT_NE(c, nullptr) << query.id << " " << pred.ToString();
+      EXPECT_TRUE(c->sargable) << query.id << " " << pred.ToString();
+    }
+    const CandidatePattern* for_path = find(nq.for_path, ValueType::kVarchar);
+    ASSERT_NE(for_path, nullptr) << query.id;
+    EXPECT_FALSE(for_path->sargable) << query.id;
+    for (const CandidatePattern& c : result->candidates) {
+      bool from_query = c.pattern == nq.for_path;
+      for (const QueryPredicate& pred : nq.predicates) {
+        from_query = from_query || c.pattern == pred.pattern;
+      }
+      EXPECT_TRUE(from_query) << query.id << " " << c.ToString();
+      std::printf("    candidate: %s\n", c.ToString().c_str());
+    }
+    total += result->candidates.size();
+  }
+  std::printf("(%zu queries, %zu candidate patterns)\n", workload.size(),
+              total);
+}
+
+INSTANTIATE_TEST_SUITE_P(Figure2, EnumerateWorkloadTest,
+                         ::testing::Values("xmark", "tpox"));
 
 TEST_F(ExplainModesTest, StringPredicateYieldsVarcharCandidate) {
   Result<EnumerateIndexesResult> result = EnumerateIndexesMode(

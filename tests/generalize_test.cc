@@ -200,20 +200,6 @@ TEST_F(GeneralizeTest, FixpointReachedWithinRounds) {
             Patterns(GeneralizeCandidates(basics, db_, few)));
 }
 
-TEST_F(GeneralizeTest, DescendantRuleOptIn) {
-  std::vector<CandidateIndex> basics = {
-      Cand("/site/regions/africa/item/quantity", ValueType::kDouble, 0),
-  };
-  GeneralizeOptions off;
-  EXPECT_EQ(GeneralizeCandidates(basics, db_, off).size(), 1u);
-  GeneralizeOptions on;
-  on.enable_descendant_rule = true;
-  std::vector<CandidateIndex> expanded =
-      GeneralizeCandidates(basics, db_, on);
-  std::set<std::string> patterns = Patterns(expanded);
-  EXPECT_TRUE(patterns.count("//regions/africa/item/quantity|DOUBLE"));
-}
-
 TEST_F(GeneralizeTest, DisabledGeneralizationIsIdentity) {
   std::vector<CandidateIndex> basics = {
       Cand("/site/regions/namerica/item/quantity", ValueType::kDouble, 0),
