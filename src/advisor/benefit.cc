@@ -108,19 +108,16 @@ ConfigurationEvaluator::ConfigurationEvaluator(
   }
 }
 
-ThreadPool* ConfigurationEvaluator::pool() {
-  if (threads_ <= 1) return nullptr;
-  std::call_once(pool_once_,
-                 [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
-  return pool_.get();
-}
-
 ThreadPool* ConfigurationEvaluator::PlanTaskPool(size_t tasks) {
   // A minimal-overlay optimization runs in tens of microseconds; below a
   // few tasks per worker the pool dispatch (plus a possible first-use
   // thread spawn) costs more than it buys, so run the batch serially.
-  if (tasks < static_cast<size_t>(threads_) * 4) return nullptr;
-  return pool();
+  if (threads_ <= 1 || tasks < static_cast<size_t>(threads_) * 4) {
+    return nullptr;
+  }
+  std::call_once(pool_once_,
+                 [this] { pool_ = std::make_unique<ThreadPool>(threads_); });
+  return pool_.get();
 }
 
 bool ConfigurationEvaluator::Covers(int candidate, size_t expr_index) {
@@ -232,62 +229,6 @@ CostRecord RecordFromPlan(const QueryPlan& plan) {
 
 }  // namespace
 
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateUncached(const std::vector<int>& sorted,
-                                         bool parallel_queries,
-                                         bool honor_cancel) {
-  // Only reached when the cost cache is disabled: every query of this
-  // configuration re-optimizes, and each skipped lookup is a bypass.
-  cost_cache_->AddBypasses(workload_->queries().size());
-
-  // Build the overlay: base catalog + the configuration as virtual
-  // indexes, reusing the candidates' precomputed statistics. The overlay
-  // is written here, then only read by the concurrent optimizations.
-  Catalog overlay = *base_catalog_;
-  for (int ci : sorted) {
-    const CandidateIndex& cand = (*candidates_)[static_cast<size_t>(ci)];
-    IndexDefinition def = cand.def;
-    def.name = CandidateOverlayName(ci);
-    XIA_RETURN_IF_ERROR(overlay.AddVirtual(std::move(def), cand.stats));
-  }
-
-  // Optimize every query into its own slot, then merge in query order so
-  // the floating-point sum (and therefore every downstream search
-  // decision) is independent of scheduling.
-  const std::vector<Query>& queries = workload_->queries();
-  std::vector<Result<QueryPlan>> plans(queries.size(),
-                                       Status::Internal("not evaluated"));
-  ParallelForCancellable(
-      parallel_queries ? pool() : nullptr, queries.size(),
-      [&](size_t qi) {
-        if (honor_cancel && cancel_.Cancelled()) {
-          plans[qi] = Status::Cancelled("what-if optimization cancelled");
-          return true;  // External cancel, not the deterministic failure.
-        }
-        plans[qi] = OptimizeWithFailpoint(qi, [&] {
-          return optimizer_->Optimize(queries[qi], overlay, cache_);
-        });
-        return plans[qi].ok();
-      },
-      [&](size_t qi) {
-        plans[qi] = Status::Cancelled(
-            "cancelled: a lower-indexed what-if optimization failed first");
-      });
-
-  // Merging in query order also propagates the LOWEST failing query's
-  // status — the deterministic first error.
-  Evaluation eval;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    XIA_RETURN_IF_ERROR(plans[qi].status());
-    const QueryPlan& plan = *plans[qi];
-    eval.per_query_cost.push_back(plan.total_cost);
-    eval.workload_cost += queries[qi].weight * plan.total_cost;
-    RecordUsedCandidates(sorted, RecordFromPlan(plan), &eval);
-  }
-  eval.update_cost = EstimateUpdateCost(sorted);
-  return eval;
-}
-
 void ConfigurationEvaluator::RecordUsedCandidates(
     const std::vector<int>& sorted, const CostRecord& record,
     Evaluation* eval) {
@@ -306,40 +247,71 @@ void ConfigurationEvaluator::RecordUsedCandidates(
 }
 
 void ConfigurationEvaluator::CollectPlanTasks(
-    const std::vector<int>& sorted, std::vector<const CostRecord*>& records,
-    std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
-    std::unordered_map<std::string, size_t>& task_index) {
+    const std::vector<int>& sorted, bool use_table,
+    std::vector<QueryCost>* costs, std::vector<PlanTask>* tasks,
+    std::unordered_map<std::string, size_t>* task_index) {
   const std::vector<Query>& queries = workload_->queries();
+  const bool memoize = cost_cache_->enabled();
+  // The escape hatch skips every per-query lookup: one bypass each.
+  if (!memoize) cost_cache_->AddBypasses(queries.size());
+  costs->assign(queries.size(), QueryCost());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    // The query's relevance signature under this configuration: the
-    // (already sorted, deduplicated) candidate ids whose patterns can
-    // produce an index match for it. Candidate ids are stable identities
-    // within this evaluator — id determines definition, overlay name
-    // ("cand<i>"), and precomputed statistics — and the base catalog is
-    // fixed, so the signature pins the optimizer input exactly.
+    QueryCost& cost = (*costs)[qi];
     PlanTask task;
     task.query = qi;
-    for (int c : sorted) {
-      if (relevant_[static_cast<size_t>(c)].Test(qi)) {
-        task.relevant.push_back(c);
+    if (!memoize) {
+      // Cache off: the query sees the whole configuration, exactly the
+      // naive full overlay, under a key private to this query that the
+      // memo never sees — the uncached reference the cache is tested
+      // against.
+      task.relevant = sorted;
+      task.key = MemoKey(static_cast<int>(qi), sorted);
+    } else {
+      // The query's relevance signature under this configuration: the
+      // (already sorted, deduplicated) candidate ids whose patterns can
+      // produce an index match for it. Candidate ids are stable
+      // identities within this evaluator — id determines definition,
+      // overlay name ("cand<i>"), and precomputed statistics — and the
+      // base catalog is fixed, so the signature pins the optimizer input
+      // exactly.
+      for (int c : sorted) {
+        if (relevant_[static_cast<size_t>(c)].Test(qi)) {
+          task.relevant.push_back(c);
+        }
       }
+      const int cls = distinct_query_[qi];
+      // Decomposed scoring: the exact cell first (the overlap itself is
+      // priced — a *precise* cost, benefit_table.h property 1), then the
+      // composed conservative bound. Compose misses only when no subset
+      // of the overlap was priced (a truncated table); the query then
+      // falls through to a real what-if below.
+      if (use_table) {
+        if (benefit_table_->Lookup(cls, task.relevant, &cost.entry)) {
+          benefit_table_->CountHit();
+          cost.from_table = true;
+          continue;
+        }
+        if (benefit_table_->Compose(cls, task.relevant, &cost.entry)) {
+          benefit_table_->CountComposed();
+          cost.from_table = true;
+          continue;
+        }
+      }
+      // Equal fingerprints guarantee equal plans, hence equal records.
+      task.key = MemoKey(cls, task.relevant);
+      cost.record = cost_memo_.Lookup(task.key);
+      if (cost.record != nullptr) continue;
     }
-    task.key = MemoKey(distinct_query_[qi], task.relevant);
-    // Equal fingerprints guarantee equal plans, hence equal records.
-    records[qi] = cost_memo_.Lookup(task.key);
-    if (records[qi] != nullptr) {
-      plan_source[qi] = -1;
-      continue;
-    }
-    auto [it, inserted] = task_index.emplace(task.key, tasks.size());
-    if (inserted) tasks.push_back(std::move(task));
-    plan_source[qi] = static_cast<int>(it->second);
+    auto [it, inserted] = task_index->emplace(task.key, tasks->size());
+    if (inserted) tasks->push_back(std::move(task));
+    cost.task = static_cast<int>(it->second);
   }
 }
 
 Result<QueryPlan> ConfigurationEvaluator::OptimizeRelevant(
     const PlanTask& task) const {
-  // Minimal overlay: base catalog + ONLY the signature's candidates.
+  // Minimal overlay: base catalog + ONLY the signature's candidates
+  // (with the cost cache off, the task's whole configuration).
   // Correctness (the signature-equality ⇒ identical-input argument): the
   // optimizer reads a catalog solely through IndexesFor + IndexMatcher::
   // Match, and a candidate outside the signature emits no match for this
@@ -357,32 +329,6 @@ Result<QueryPlan> ConfigurationEvaluator::OptimizeRelevant(
   }
   return optimizer_->Optimize(workload_->queries()[task.query], overlay,
                               cache_);
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::AssembleFromRecords(
-    const std::vector<int>& sorted,
-    const std::vector<const CostRecord*>& records,
-    const std::vector<int>& plan_source,
-    const std::vector<Result<CostRecord>>& task_records) {
-  const std::vector<Query>& queries = workload_->queries();
-  Evaluation eval;
-  eval.per_query_cost.reserve(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const CostRecord* record = records[qi];
-    if (plan_source[qi] >= 0) {
-      const Result<CostRecord>& computed =
-          task_records[static_cast<size_t>(plan_source[qi])];
-      XIA_RETURN_IF_ERROR(computed.status());
-      record = &*computed;
-    }
-    eval.per_query_cost.push_back(record->total_cost);
-    eval.workload_cost += queries[qi].weight * record->total_cost;
-    RecordUsedCandidates(sorted, *record, &eval);
-  }
-  eval.update_cost = EstimateUpdateCost(sorted);
-  num_evaluations_.Increment();
-  return eval;
 }
 
 void ConfigurationEvaluator::RunPlanTasks(
@@ -409,6 +355,7 @@ void ConfigurationEvaluator::RunPlanTasks(
         (*task_records)[ti] = Status::Cancelled(
             "cancelled: a lower-indexed what-if task failed first");
       });
+  if (!cost_cache_->enabled()) return;
   // Insert surviving records serially. Only tasks below the lowest
   // failure hold records (stragglers were normalized to Cancelled above),
   // so the costcache.entries gauge depends on the failure point alone,
@@ -420,22 +367,38 @@ void ConfigurationEvaluator::RunPlanTasks(
   }
 }
 
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateWithCostCache(const std::vector<int>& sorted,
-                                              bool parallel_tasks,
-                                              bool honor_cancel) {
-  const size_t num_queries = workload_->queries().size();
-  std::vector<const CostRecord*> records(num_queries, nullptr);
-  std::vector<int> plan_source(num_queries, -1);
-  std::vector<PlanTask> tasks;
-  std::unordered_map<std::string, size_t> task_index;
-  CollectPlanTasks(sorted, records, plan_source, tasks, task_index);
-
-  std::vector<Result<CostRecord>> task_records(
-      tasks.size(), Status::Internal("not evaluated"));
-  RunPlanTasks(tasks, parallel_tasks ? PlanTaskPool(tasks.size()) : nullptr,
-               honor_cancel, &task_records);
-  return AssembleFromRecords(sorted, records, plan_source, task_records);
+Result<ConfigurationEvaluator::Evaluation> ConfigurationEvaluator::Assemble(
+    const std::vector<int>& sorted, const std::vector<QueryCost>& costs,
+    const std::vector<Result<CostRecord>>& task_records) {
+  const std::vector<Query>& queries = workload_->queries();
+  Evaluation eval;
+  eval.per_query_cost.reserve(queries.size());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const QueryCost& cost = costs[qi];
+    if (cost.from_table) {
+      eval.per_query_cost.push_back(cost.entry.cost);
+      eval.workload_cost += queries[qi].weight * cost.entry.cost;
+      // entry.used ⊆ the priced subset ⊆ this configuration, so every id
+      // is attributable without re-checking membership in `sorted`.
+      for (int id : cost.entry.used) eval.used_candidates.insert(id);
+      continue;
+    }
+    const CostRecord* record = cost.record;
+    if (cost.task >= 0) {
+      const Result<CostRecord>& computed =
+          task_records[static_cast<size_t>(cost.task)];
+      // Query order also makes the LOWEST failing query's status the
+      // deterministic first error.
+      XIA_RETURN_IF_ERROR(computed.status());
+      record = &*computed;
+    }
+    eval.per_query_cost.push_back(record->total_cost);
+    eval.workload_cost += queries[qi].weight * record->total_cost;
+    RecordUsedCandidates(sorted, *record, &eval);
+  }
+  eval.update_cost = EstimateUpdateCost(sorted);
+  num_evaluations_.Increment();
+  return eval;
 }
 
 AdvisorCacheCounters ConfigurationEvaluator::cache_counters() const {
@@ -473,61 +436,46 @@ obs::Snapshot ConfigurationEvaluator::DeterministicStats() const {
 
 Result<ConfigurationEvaluator::Evaluation> ConfigurationEvaluator::Evaluate(
     const std::vector<int>& config) {
-  return EvaluateImpl(config, /*honor_cancel=*/true,
-                      /*use_table=*/decomposed());
+  XIA_SPAN("advisor.evaluate");
+  return std::move(EvaluateBatch({config}, /*honor_cancel=*/true,
+                                 /*use_table=*/decomposed())
+                       .front());
 }
 
 Result<ConfigurationEvaluator::Evaluation>
 ConfigurationEvaluator::EvaluateUngoverned(const std::vector<int>& config) {
+  XIA_SPAN("advisor.evaluate");
   // Always exact, even in decomposed mode: the closing evaluation must
   // report the real optimizer cost of the chosen configuration, not a
   // composed bound — the promised benefit stays honest.
-  return EvaluateImpl(config, /*honor_cancel=*/false, /*use_table=*/false);
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateImpl(const std::vector<int>& config,
-                                     bool honor_cancel, bool use_table) {
-  XIA_SPAN("advisor.evaluate");
-  auto [key, sorted] = CanonicalKey(config);
-  if (use_table) key.insert(0, "d:");
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      memo_hits_.Increment();
-      return it->second;
-    }
-  }
-  if (honor_cancel && cancel_.Cancelled()) {
-    return Status::Cancelled("configuration evaluation cancelled");
-  }
-  Result<Evaluation> evaluated =
-      use_table ? EvaluateDecomposed(sorted, honor_cancel)
-      : cost_cache_->enabled()
-          ? EvaluateWithCostCache(sorted, /*parallel_tasks=*/true,
-                                  honor_cancel)
-          : EvaluateUncached(sorted, /*parallel_queries=*/true, honor_cancel);
-  XIA_ASSIGN_OR_RETURN(Evaluation eval, std::move(evaluated));
-  // The uncached path defers its evaluation count to this serial point
-  // (the cost-cache path counts inside AssembleFromPlans, also serial).
-  if (!use_table && !cost_cache_->enabled()) num_evaluations_.Increment();
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  return memo_.emplace(std::move(key), std::move(eval)).first->second;
+  return std::move(EvaluateBatch({config}, /*honor_cancel=*/false,
+                                 /*use_table=*/false)
+                       .front());
 }
 
 std::vector<Result<ConfigurationEvaluator::Evaluation>>
 ConfigurationEvaluator::EvaluateMany(
     const std::vector<std::vector<int>>& configs) {
   XIA_SPAN("advisor.evaluate_many");
+  return EvaluateBatch(configs, /*honor_cancel=*/true,
+                       /*use_table=*/decomposed());
+}
+
+std::vector<Result<ConfigurationEvaluator::Evaluation>>
+ConfigurationEvaluator::EvaluateBatch(
+    const std::vector<std::vector<int>>& configs, bool honor_cancel,
+    bool use_table) {
   std::vector<Result<Evaluation>> results(configs.size(),
                                           Status::Internal("not evaluated"));
   // Resolve memo hits and deduplicate the misses, so each distinct
   // configuration is optimized exactly once — num_evaluations() advances
   // exactly as the equivalent sequence of Evaluate() calls would.
+  // Decomposed and exact results are memoized under disjoint keys ("d:"
+  // prefix), so both coexist per configuration.
   struct Miss {
     std::string key;
     std::vector<int> sorted;
+    std::vector<QueryCost> costs = {};
     Result<Evaluation> result = Status::Internal("not evaluated");
   };
   std::vector<Miss> misses;
@@ -537,7 +485,7 @@ ConfigurationEvaluator::EvaluateMany(
     std::lock_guard<std::mutex> lock(memo_mu_);
     for (size_t i = 0; i < configs.size(); ++i) {
       auto [key, sorted] = CanonicalKey(configs[i]);
-      if (decomposed()) key.insert(0, "d:");
+      if (use_table) key.insert(0, "d:");
       auto hit = memo_.find(key);
       if (hit != memo_.end()) {
         memo_hits_.Increment();
@@ -552,92 +500,33 @@ ConfigurationEvaluator::EvaluateMany(
     }
   }
 
-  if (decomposed()) {
-    // Decomposed batch path: the same serial-collect / parallel-run /
-    // serial-assemble shape as the cost-cache path below, with the
-    // benefit table resolving most queries before any task is created.
-    // Fallback tasks are deduplicated across the whole batch and counted
-    // once, in this serial phase.
-    const size_t num_queries = workload_->queries().size();
-    std::vector<PlanTask> tasks;
-    std::unordered_map<std::string, size_t> task_index;
-    std::vector<std::vector<BenefitEntry>> miss_entries(misses.size());
-    std::vector<std::vector<char>> miss_from_table(misses.size());
-    std::vector<std::vector<const CostRecord*>> miss_records(misses.size());
-    std::vector<std::vector<int>> miss_plan_source(misses.size());
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      miss_entries[mi].resize(num_queries);
-      miss_from_table[mi].assign(num_queries, 0);
-      miss_records[mi].assign(num_queries, nullptr);
-      miss_plan_source[mi].assign(num_queries, -1);
-      CollectDecomposedWork(misses[mi].sorted, miss_entries[mi],
-                            miss_from_table[mi], miss_records[mi],
-                            miss_plan_source[mi], tasks, task_index);
-    }
-    benefit_table_->CountFallbackWhatIfs(tasks.size());
-    std::vector<Result<CostRecord>> task_records(
-        tasks.size(), Status::Internal("not evaluated"));
-    RunPlanTasks(tasks, PlanTaskPool(tasks.size()), /*honor_cancel=*/true,
-                 &task_records);
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      misses[mi].result = AssembleDecomposed(
-          misses[mi].sorted, miss_entries[mi], miss_from_table[mi],
-          miss_records[mi], miss_plan_source[mi], task_records);
-    }
-  } else if (cost_cache_->enabled()) {
-    // Cost-memo batch path: deduplicate (query, relevance signature)
-    // plan tasks across ALL misses in one serial pass — a greedy round's
-    // configurations overlap heavily, so most of the batch collapses onto
-    // a few optimizer calls — then run the distinct tasks through one
-    // pool dispatch and assemble each miss serially in batch order. The
-    // serial collect/assemble phases keep hit/miss counts and every
-    // float-addition order identical at any thread count.
-    const size_t num_queries = workload_->queries().size();
-    std::vector<PlanTask> tasks;
-    std::unordered_map<std::string, size_t> task_index;
-    std::vector<std::vector<const CostRecord*>> miss_records(misses.size());
-    std::vector<std::vector<int>> miss_plan_source(misses.size());
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      miss_records[mi].assign(num_queries, nullptr);
-      miss_plan_source[mi].assign(num_queries, -1);
-      CollectPlanTasks(misses[mi].sorted, miss_records[mi],
-                       miss_plan_source[mi], tasks, task_index);
-    }
-    std::vector<Result<CostRecord>> task_records(
-        tasks.size(), Status::Internal("not evaluated"));
-    RunPlanTasks(tasks, PlanTaskPool(tasks.size()), /*honor_cancel=*/true,
-                 &task_records);
-    for (size_t mi = 0; mi < misses.size(); ++mi) {
-      misses[mi].result =
-          AssembleFromRecords(misses[mi].sorted, miss_records[mi],
-                              miss_plan_source[mi], task_records);
+  if (honor_cancel && cancel_.Cancelled()) {
+    // A fired token fails every miss before any lookup, so a search can
+    // roll back to its last fully priced step (memo hits still answer).
+    for (Miss& miss : misses) {
+      miss.result = Status::Cancelled("configuration evaluation cancelled");
     }
   } else {
-    // One task per distinct miss; the per-query loop inside each stays
-    // serial to keep exactly one level of parallelism per call path.
-    ParallelForCancellable(
-        pool(), misses.size(),
-        [&](size_t mi) {
-          if (cancel_.Cancelled()) {
-            misses[mi].result =
-                Status::Cancelled("configuration evaluation cancelled");
-            return true;  // External cancel, not a deterministic failure.
-          }
-          misses[mi].result =
-              EvaluateUncached(misses[mi].sorted, /*parallel_queries=*/false,
-                               /*honor_cancel=*/true);
-          return misses[mi].result.ok();
-        },
-        [&](size_t mi) {
-          misses[mi].result = Status::Cancelled(
-              "cancelled: a lower-indexed configuration evaluation failed "
-              "first");
-        });
-    // Deferred serial count: one evaluation per miss that survived (the
-    // pre-cancellation code counted inside EvaluateUncached, which would
-    // leave the counter scheduling-dependent when a batch fails).
-    for (const Miss& miss : misses) {
-      if (miss.result.ok()) num_evaluations_.Increment();
+    // Serial collect: (query, relevance signature) plan tasks deduplicated
+    // across ALL misses — a greedy round's configurations overlap
+    // heavily, so most of the batch collapses onto a few optimizer calls.
+    // Then one pool dispatch over the distinct tasks, and a serial
+    // assemble of each miss in batch order. The serial phases keep every
+    // counter and float-addition order identical at any thread count.
+    std::vector<PlanTask> tasks;
+    std::unordered_map<std::string, size_t> task_index;
+    for (Miss& miss : misses) {
+      CollectPlanTasks(miss.sorted, use_table, &miss.costs, &tasks,
+                       &task_index);
+    }
+    // Fallback what-ifs are the calls the table could not answer.
+    if (use_table) benefit_table_->CountFallbackWhatIfs(tasks.size());
+    std::vector<Result<CostRecord>> task_records(
+        tasks.size(), Status::Internal("not evaluated"));
+    RunPlanTasks(tasks, PlanTaskPool(tasks.size()), honor_cancel,
+                 &task_records);
+    for (Miss& miss : misses) {
+      miss.result = Assemble(miss.sorted, miss.costs, task_records);
     }
   }
 
@@ -687,7 +576,6 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
         "decomposed evaluation requires the what-if cost cache (it supplies "
         "the relevance bitmaps and the pricing dedup layer)");
   }
-  decompose_ = opts;
   auto table = std::make_unique<BenefitTable>();
   BenefitPricingReport report;
 
@@ -799,112 +687,7 @@ Result<BenefitPricingReport> ConfigurationEvaluator::PriceBenefitTable(
 
 std::string ConfigurationEvaluator::DescribeDecomposition() const {
   if (!decomposed()) return "";
-  std::string out = std::string("decomposed scoring: degree=1 compose=") +
-                    (decompose_.compose_above_degree ? "on" : "off") + ", " +
-                    pricing_report_.ToString();
-  return out;
-}
-
-void ConfigurationEvaluator::CollectDecomposedWork(
-    const std::vector<int>& sorted, std::vector<BenefitEntry>& entries,
-    std::vector<char>& from_table, std::vector<const CostRecord*>& records,
-    std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
-    std::unordered_map<std::string, size_t>& task_index) {
-  const std::vector<Query>& queries = workload_->queries();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    PlanTask task;
-    task.query = qi;
-    for (int c : sorted) {
-      if (relevant_[static_cast<size_t>(c)].Test(qi)) {
-        task.relevant.push_back(c);
-      }
-    }
-    const int cls = distinct_query_[qi];
-    // Exact cell first (the overlap itself is priced — a *precise* cost,
-    // see benefit_table.h property 1), then the composed conservative
-    // bound, then the real what-if fallback through the cost memo. A
-    // priced-degree overlap can still miss when pricing was truncated or
-    // the class hit its subset cap; Compose covers those too.
-    if (benefit_table_->Lookup(cls, task.relevant, &entries[qi])) {
-      from_table[qi] = 1;
-      benefit_table_->CountHit();
-      continue;
-    }
-    if (decompose_.compose_above_degree &&
-        benefit_table_->Compose(cls, task.relevant, &entries[qi])) {
-      from_table[qi] = 1;
-      benefit_table_->CountComposed();
-      continue;
-    }
-    task.key = MemoKey(cls, task.relevant);
-    records[qi] = cost_memo_.Lookup(task.key);
-    if (records[qi] != nullptr) {
-      plan_source[qi] = -1;
-      continue;
-    }
-    auto [it, inserted] = task_index.emplace(task.key, tasks.size());
-    if (inserted) tasks.push_back(std::move(task));
-    plan_source[qi] = static_cast<int>(it->second);
-  }
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::AssembleDecomposed(
-    const std::vector<int>& sorted, const std::vector<BenefitEntry>& entries,
-    const std::vector<char>& from_table,
-    const std::vector<const CostRecord*>& records,
-    const std::vector<int>& plan_source,
-    const std::vector<Result<CostRecord>>& task_records) {
-  const std::vector<Query>& queries = workload_->queries();
-  Evaluation eval;
-  eval.per_query_cost.reserve(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (from_table[qi]) {
-      const BenefitEntry& entry = entries[qi];
-      eval.per_query_cost.push_back(entry.cost);
-      eval.workload_cost += queries[qi].weight * entry.cost;
-      // entry.used ⊆ the priced subset ⊆ this configuration, so every id
-      // is attributable without re-checking membership in `sorted`.
-      for (int id : entry.used) eval.used_candidates.insert(id);
-      continue;
-    }
-    const CostRecord* record = records[qi];
-    if (plan_source[qi] >= 0) {
-      const Result<CostRecord>& computed =
-          task_records[static_cast<size_t>(plan_source[qi])];
-      XIA_RETURN_IF_ERROR(computed.status());
-      record = &*computed;
-    }
-    eval.per_query_cost.push_back(record->total_cost);
-    eval.workload_cost += queries[qi].weight * record->total_cost;
-    RecordUsedCandidates(sorted, *record, &eval);
-  }
-  eval.update_cost = EstimateUpdateCost(sorted);
-  num_evaluations_.Increment();
-  return eval;
-}
-
-Result<ConfigurationEvaluator::Evaluation>
-ConfigurationEvaluator::EvaluateDecomposed(const std::vector<int>& sorted,
-                                           bool honor_cancel) {
-  const size_t num_queries = workload_->queries().size();
-  std::vector<BenefitEntry> entries(num_queries);
-  std::vector<char> from_table(num_queries, 0);
-  std::vector<const CostRecord*> records(num_queries, nullptr);
-  std::vector<int> plan_source(num_queries, -1);
-  std::vector<PlanTask> tasks;
-  std::unordered_map<std::string, size_t> task_index;
-  CollectDecomposedWork(sorted, entries, from_table, records, plan_source,
-                        tasks, task_index);
-  // Fallback what-ifs are counted here — the serial phase — as the calls
-  // this configuration *issues* (cache-resolved queries create no task).
-  benefit_table_->CountFallbackWhatIfs(tasks.size());
-  std::vector<Result<CostRecord>> task_records(
-      tasks.size(), Status::Internal("not evaluated"));
-  RunPlanTasks(tasks, PlanTaskPool(tasks.size()), honor_cancel,
-               &task_records);
-  return AssembleDecomposed(sorted, entries, from_table, records, plan_source,
-                            task_records);
+  return "decomposed scoring: degree=1, " + pricing_report_.ToString();
 }
 
 Result<double> ConfigurationEvaluator::BaselineCost() {

@@ -33,12 +33,13 @@ namespace xia {
 /// Evaluations are memoized by configuration, since greedy and top-down
 /// searches revisit configurations.
 ///
-/// Concurrency: with `threads > 1` the per-query what-if optimizations
-/// inside one Evaluate() fan out over an internal thread pool, and
-/// EvaluateMany() fans out whole configurations; the memo and evaluation
-/// counter are lock-/atomic-protected so both levels may run
-/// concurrently. Per-query results are merged in query order, making the
-/// parallel costs bit-identical to the serial (`threads == 1`) path.
+/// One pipeline prices every configuration: Evaluate, EvaluateUngoverned
+/// and EvaluateMany are all batches through EvaluateBatch — a serial
+/// collect that turns each (configuration, query) pair into a resolved
+/// cost or a deduplicated optimizer task, one parallel run of the tasks
+/// over the thread pool (`threads > 1`), and a serial assemble that folds
+/// each configuration in query order. Only the serial phases count or
+/// add, so costs and counters are bit-identical at any thread count.
 ///
 /// What-if cost caching (`use_cost_cache`, on by default): below the
 /// whole-configuration memo sits a per-query cost memo (CostRecordMemo,
@@ -50,18 +51,16 @@ namespace xia {
 /// CostRecord (the plan's cost and the candidates it uses; the plan
 /// itself is dropped). Memo keys are candidate ids local to this
 /// evaluator, so the memo lives and dies with it: a key is valid only
-/// inside the evaluator that made it. Results stay bit-identical to the
-/// uncached path (tests/cost_cache_test.cc), and hit/miss/bypass counts
-/// are deterministic at any thread count because lookups happen in
-/// serial dedup phases.
+/// inside the evaluator that made it. With the cache off, each query is
+/// optimized under the whole configuration and nothing is memoized —
+/// the reference tests/cost_cache_test.cc compares the cache against.
 ///
 /// Decomposed mode (PriceBenefitTable, benefit_table.h): one step
 /// further than the cache — the what-if calls a search WOULD make are
-/// priced up front per (query class, small relevant subset), and
-/// configuration scoring becomes table lookups plus a conservative
-/// composed bound, with real what-if only as fallback. Optimizer-call
-/// count then scales with queries + candidates, not configurations
-/// explored.
+/// priced up front per (query class, small relevant subset), and the
+/// collect scores queries by table lookups plus a conservative composed
+/// bound, with real what-if only as fallback. Optimizer-call count then
+/// scales with queries + candidates, not configurations explored.
 class ConfigurationEvaluator {
  public:
   /// One workload XPath expression (driving path or predicate pattern) —
@@ -104,13 +103,14 @@ class ConfigurationEvaluator {
                          WhatIfCostCache* shared_cost_cache = nullptr);
 
   /// Installs the cooperative-cancellation token that Evaluate and
-  /// EvaluateMany poll at per-query / per-task boundaries. A fired token
-  /// makes in-flight evaluations return StatusCode::kCancelled; an inert
-  /// (default) token costs one relaxed atomic load per check.
+  /// EvaluateMany poll before collecting and per optimizer task. A fired
+  /// token makes every configuration not already memoized come back
+  /// StatusCode::kCancelled; an inert (default) token costs one relaxed
+  /// atomic load per check.
   void set_cancel(CancelToken cancel) { cancel_ = std::move(cancel); }
 
-  /// Evaluates the configuration given as candidate indices, optimizing
-  /// the workload's queries in parallel when threads > 1.
+  /// Evaluates the configuration given as candidate indices: a batch of
+  /// one through EvaluateBatch.
   Result<Evaluation> Evaluate(const std::vector<int>& config);
 
   /// Evaluate, but ignoring the external CancelToken (deterministic
@@ -121,15 +121,12 @@ class ConfigurationEvaluator {
   /// this nearly free on the search paths.
   Result<Evaluation> EvaluateUngoverned(const std::vector<int>& config);
 
-  /// Evaluates several configurations concurrently, returning results
+  /// Evaluates several configurations in one batch, returning results
   /// aligned with `configs`. This is the search-loop fan-out: scoring
-  /// every candidate of a greedy round costs one pool dispatch. With the
-  /// cost cache on, the fan-out unit is the distinct (query, relevance
-  /// signature) pair deduplicated across the whole batch — configurations
-  /// that look identical to a query share its one optimization; with the
-  /// cache off it is the distinct uncached configuration (serial
-  /// per-query loop inside each). Results and num_evaluations() match
-  /// what sequential Evaluate() calls would have produced.
+  /// every candidate of a greedy round costs one pool dispatch, and
+  /// configurations that look identical to a query share its one
+  /// optimization. Results and num_evaluations() match what sequential
+  /// Evaluate() calls would have produced.
   std::vector<Result<Evaluation>> EvaluateMany(
       const std::vector<std::vector<int>>& configs);
 
@@ -138,9 +135,9 @@ class ConfigurationEvaluator {
 
   /// Prices the CoPhy-style atomic-benefit table (benefit_table.h) and
   /// switches Evaluate/EvaluateMany to the decomposed mode: per query,
-  /// an exact table hit when its relevant-set overlap is priced, the
-  /// composed conservative bound when `opts.compose_above_degree`, and a
-  /// real what-if call (through the cost cache) only as last resort.
+  /// an exact table hit when its relevant-set overlap is priced, else the
+  /// composed conservative bound, and a real what-if call (through the
+  /// cost cache) only when a truncated table priced no subset at all.
   /// EvaluateUngoverned and BaselineCost deliberately stay on the exact
   /// path so closing evaluations report honest (non-composed) costs.
   ///
@@ -210,8 +207,17 @@ class ConfigurationEvaluator {
   /// set) pair some configuration in the current batch needs.
   struct PlanTask {
     size_t query = 0;           // Representative workload query index.
-    std::vector<int> relevant;  // Sorted relevant candidate ids (the sig).
+    std::vector<int> relevant;  // Sorted overlay candidate ids (the sig).
     std::string key;            // Cost-memo key.
+  };
+  /// Where one query's cost under one configuration comes from, as the
+  /// collect decided it: a benefit-table score, a memoized record, or a
+  /// PlanTask's result.
+  struct QueryCost {
+    bool from_table = false;             // `entry` holds the score.
+    BenefitEntry entry;
+    const CostRecord* record = nullptr;  // Memoized record, or null.
+    int task = -1;                       // PlanTask index, or -1.
   };
   const Optimizer* optimizer_;
   const Workload* workload_;
@@ -250,9 +256,8 @@ class ConfigurationEvaluator {
   /// is disabled.
   std::vector<Bitmap> relevant_;
   /// Decomposed mode (PriceBenefitTable): the priced atomic-benefit
-  /// table, read-only after pricing, plus the knobs and report. Null
-  /// table = exact mode.
-  DecomposeOptions decompose_;
+  /// table, read-only after pricing, plus its report. Null table = exact
+  /// mode.
   std::unique_ptr<BenefitTable> benefit_table_;
   BenefitPricingReport pricing_report_;
 
@@ -265,98 +270,53 @@ class ConfigurationEvaluator {
   static std::pair<std::string, std::vector<int>> CanonicalKey(
       const std::vector<int>& config);
 
-  /// Shared body of Evaluate/EvaluateUngoverned; `honor_cancel` selects
-  /// whether the external token is polled and `use_table` whether the
-  /// decomposed path scores this configuration (Evaluate passes
-  /// decomposed(); EvaluateUngoverned always passes false — the closing
-  /// evaluations stay exact). Decomposed and exact results are memoized
-  /// under disjoint keys ("d:" prefix), so both coexist per config.
-  Result<Evaluation> EvaluateImpl(const std::vector<int>& config,
-                                  bool honor_cancel, bool use_table);
+  /// The one evaluation pipeline behind Evaluate (a batch of one,
+  /// honor_cancel, use_table = decomposed()), EvaluateUngoverned (a batch
+  /// of one, neither — closing evaluations stay exact) and EvaluateMany:
+  /// serial memo lookup and miss dedup; a fired token (with
+  /// `honor_cancel`) fails every miss; else serial CollectPlanTasks,
+  /// RunPlanTasks, serial Assemble per miss, and memo insert.
+  std::vector<Result<Evaluation>> EvaluateBatch(
+      const std::vector<std::vector<int>>& configs, bool honor_cancel,
+      bool use_table);
 
-  /// Uncached evaluation of a canonical config. `parallel_queries` fans
-  /// the per-query optimizations out over the pool; EvaluateMany passes
-  /// false because it parallelizes at configuration granularity instead.
-  /// Does NOT count the evaluation — callers increment num_evaluations_
-  /// in a serial phase so the counter stays deterministic when a batch
-  /// fails part-way.
-  Result<Evaluation> EvaluateUncached(const std::vector<int>& sorted,
-                                      bool parallel_queries,
-                                      bool honor_cancel);
-
-  /// Cost-cache path of EvaluateUncached: serial lookup/dedup over the
-  /// queries, parallel optimization of the distinct misses, serial merge.
-  Result<Evaluation> EvaluateWithCostCache(const std::vector<int>& sorted,
-                                           bool parallel_tasks,
-                                           bool honor_cancel);
-
-  /// Serial phase 1: resolves each query of `sorted` from the cost memo
-  /// into `records` or appends a deduplicated PlanTask. plan_source[qi]
-  /// is the task index that will produce the record, or -1 when
-  /// `records[qi]` already points into the memo.
-  void CollectPlanTasks(const std::vector<int>& sorted,
-                        std::vector<const CostRecord*>& records,
-                        std::vector<int>& plan_source,
-                        std::vector<PlanTask>& tasks,
-                        std::unordered_map<std::string, size_t>& task_index);
+  /// Serial collect: resolves each query of `sorted` into `*costs` — a
+  /// benefit-table score (`use_table`), a memoized record, or the index
+  /// of a PlanTask appended to `*tasks` (deduplicated by key through
+  /// `*task_index`). With the cost cache off every query becomes a task
+  /// over the whole configuration, counted as one bypass.
+  void CollectPlanTasks(const std::vector<int>& sorted, bool use_table,
+                        std::vector<QueryCost>* costs,
+                        std::vector<PlanTask>* tasks,
+                        std::unordered_map<std::string, size_t>* task_index);
 
   /// Optimizes a task's query against base catalog + ONLY its relevant
   /// candidates. Bit-identical to optimizing under any configuration with
   /// that relevance signature (see the comment in the implementation).
   Result<QueryPlan> OptimizeRelevant(const PlanTask& task) const;
 
-  /// Parallel phase 2: runs every PlanTask through OptimizeRelevant with
+  /// Parallel run: every PlanTask through OptimizeRelevant with
   /// first-failure sibling cancellation (ParallelForCancellable) and an
-  /// optional external-token check, keeps each plan's CostRecord, then
-  /// inserts the surviving records into the cost memo. Statuses, records,
-  /// and the memo size are deterministic at any thread count: exactly the
-  /// tasks below the lowest failing index complete.
+  /// optional external-token check, keeping each plan's CostRecord; then,
+  /// with the cost cache on, inserts the surviving records into the cost
+  /// memo. Statuses, records, and the memo size are deterministic at any
+  /// thread count: exactly the tasks below the lowest failing index
+  /// complete.
   void RunPlanTasks(const std::vector<PlanTask>& tasks, ThreadPool* task_pool,
                     bool honor_cancel,
                     std::vector<Result<CostRecord>>* task_records);
 
-  /// Serial phase 3: takes the remaining records from `task_records` and
-  /// folds the Evaluation in query order (the exact float-addition order
-  /// of the uncached path). Counts one configuration evaluation.
-  Result<Evaluation> AssembleFromRecords(
-      const std::vector<int>& sorted,
-      const std::vector<const CostRecord*>& records,
-      const std::vector<int>& plan_source,
+  /// Serial assemble: folds table scores and records into the Evaluation
+  /// in query order (a fixed float-addition order). Counts one
+  /// configuration evaluation.
+  Result<Evaluation> Assemble(
+      const std::vector<int>& sorted, const std::vector<QueryCost>& costs,
       const std::vector<Result<CostRecord>>& task_records);
 
-  /// Decomposed sibling of EvaluateWithCostCache: serial table resolve
-  /// (exact hit → composed bound → what-if fallback task), parallel run
-  /// of the deduplicated fallbacks, serial assemble.
-  Result<Evaluation> EvaluateDecomposed(const std::vector<int>& sorted,
-                                        bool honor_cancel);
-
-  /// Serial phase 1 of the decomposed path: resolves each query from the
-  /// benefit table into `entries` (from_table[qi] = 1) or falls back to
-  /// the cost-memo/task machinery exactly like CollectPlanTasks. Counts
-  /// table hits and composed scores (this is the serial phase that makes
-  /// the benefit.* counters thread-count deterministic).
-  void CollectDecomposedWork(
-      const std::vector<int>& sorted, std::vector<BenefitEntry>& entries,
-      std::vector<char>& from_table, std::vector<const CostRecord*>& records,
-      std::vector<int>& plan_source, std::vector<PlanTask>& tasks,
-      std::unordered_map<std::string, size_t>& task_index);
-
-  /// Serial phase 3 of the decomposed path: folds table entries and
-  /// fallback records in query order. Counts one configuration evaluation.
-  Result<Evaluation> AssembleDecomposed(
-      const std::vector<int>& sorted, const std::vector<BenefitEntry>& entries,
-      const std::vector<char>& from_table,
-      const std::vector<const CostRecord*>& records,
-      const std::vector<int>& plan_source,
-      const std::vector<Result<CostRecord>>& task_records);
-
-  /// The lazily-spawned pool (null when threads_ == 1). Thread-safe.
-  ThreadPool* pool();
-
-  /// Pool choice for a fan-out of `tasks` minimal plan tasks: null
-  /// (serial) unless there is enough work per worker to amortize dispatch
-  /// and possible first-use spawn. Purely a scheduling decision — plans,
-  /// costs, and counters are identical either way.
+  /// Pool choice for a fan-out of `tasks` plan tasks: null (serial)
+  /// unless threads_ > 1 and there is enough work per worker to amortize
+  /// dispatch and the lazy first-use spawn. Purely a scheduling decision
+  /// — plans, costs, and counters are identical either way. Thread-safe.
   ThreadPool* PlanTaskPool(size_t tasks);
 
   /// Folds the candidate ids `record`'s plan uses into

@@ -43,12 +43,6 @@ struct DecomposeOptions {
   /// empty set, then singletons in candidate order — the cap keeps the
   /// baseline entry).
   size_t max_subsets_per_query = 128;
-  /// When a query's relevant-set overlap is larger than one candidate (or
-  /// pricing was truncated), score it with the composed upper bound
-  /// instead of a real what-if call. Disabling this makes every
-  /// non-priced overlap fall back to the optimizer: bit-identical
-  /// recommendations to the exact search, at a smaller call saving.
-  bool compose_above_degree = true;
 };
 
 /// One priced (query class, relevant subset) cell: the exact optimizer

@@ -1,8 +1,7 @@
 // CoPhy-style atomic-benefit decomposition (advisor/benefit_table.h).
-// Covers the bounded subset enumeration and DAG pair pruning, the table's
-// insert/lookup/compose mechanics, pricing determinism at any thread
-// count, exactness of table hits, the conservative composed bound, the
-// compose-off mode's bit-identity with exact search, fallback accounting,
+// Covers the bounded subset enumeration, the table's insert/lookup/
+// compose mechanics, pricing determinism at any thread count, exactness
+// of table hits, the conservative composed bound, fallback accounting,
 // anytime (deadline/cancel) partial tables, and the headline acceptance
 // property: decomposed advising issues several times fewer what-if
 // optimizer calls than exact advising while promising benefit within
@@ -12,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,8 +20,6 @@
 #include "advisor/enumeration.h"
 #include "advisor/generalize.h"
 #include "advisor/search_greedy.h"
-#include "advisor/search_greedy_heuristic.h"
-#include "advisor/search_topdown.h"
 #include "common/random.h"
 #include "workload/variation.h"
 #include "workload/xmark_queries.h"
@@ -131,7 +127,6 @@ class BenefitDecompositionTest : public ::testing::Test {
     ASSERT_TRUE(enumerated.ok());
     candidates_ = GeneralizeCandidates(enumerated->candidates, db_,
                                        GeneralizeOptions());
-    dag_ = GeneralizationDag::Build(candidates_, &cache_);
   }
 
   std::unique_ptr<ConfigurationEvaluator> MakeEvaluator(int threads = 1) {
@@ -152,10 +147,9 @@ class BenefitDecompositionTest : public ::testing::Test {
     return evaluator;
   }
 
-  static DecomposeOptions Decompose(bool compose = true) {
+  static DecomposeOptions Decompose() {
     DecomposeOptions opts;
     opts.enabled = true;
-    opts.compose_above_degree = compose;
     return opts;
   }
 
@@ -165,7 +159,6 @@ class BenefitDecompositionTest : public ::testing::Test {
   CostModel cost_model_;
   ContainmentCache cache_;
   std::vector<CandidateIndex> candidates_;
-  GeneralizationDag dag_;
   std::unique_ptr<Optimizer> optimizer_;
 };
 
@@ -231,59 +224,24 @@ TEST_F(BenefitDecompositionTest, ComposedScoreIsConservativeUpperBound) {
   EXPECT_GT(decomposed->benefit_table()->stats().composed, 0u);
 }
 
-TEST_F(BenefitDecompositionTest, ComposeOffIsBitIdenticalToExactSearch) {
-  // With composition disabled, every overlap beyond the priced degree
-  // falls back to a real what-if call, making the decomposed searches
-  // bit-identical to the exact ones — the determinism anchor of the mode.
-  SearchOptions options;
-  options.space_budget_bytes = kBudget;
-  struct Algorithm {
-    const char* name;
-    std::function<Result<SearchResult>(ConfigurationEvaluator*)> run;
-  };
-  const std::vector<Algorithm> algorithms = {
-      {"greedy",
-       [&](ConfigurationEvaluator* e) { return GreedySearch(e, options); }},
-      {"heuristic",
-       [&](ConfigurationEvaluator* e) {
-         return GreedyHeuristicSearch(e, options);
-       }},
-      {"topdown",
-       [&](ConfigurationEvaluator* e) {
-         return TopDownSearch(dag_, e, options);
-       }},
-  };
-  for (const Algorithm& algorithm : algorithms) {
-    std::unique_ptr<ConfigurationEvaluator> exact = MakeEvaluator();
-    std::unique_ptr<ConfigurationEvaluator> decomposed =
-        MakeDecomposed(Decompose(/*compose=*/false));
-    Result<SearchResult> e = algorithm.run(exact.get());
-    Result<SearchResult> d = algorithm.run(decomposed.get());
-    ASSERT_TRUE(e.ok()) << algorithm.name;
-    ASSERT_TRUE(d.ok()) << algorithm.name;
-    EXPECT_EQ(e->chosen, d->chosen) << algorithm.name;
-    EXPECT_EQ(e->workload_cost, d->workload_cost) << algorithm.name;
-    EXPECT_EQ(e->update_cost, d->update_cost) << algorithm.name;
-    EXPECT_EQ(e->baseline_cost, d->baseline_cost) << algorithm.name;
-    EXPECT_EQ(e->benefit, d->benefit) << algorithm.name;
-  }
-}
-
 TEST_F(BenefitDecompositionTest, FallbackAndComposedAccounting) {
   // Candidates 0 and 1 are both relevant to the namerica quantity
-  // queries, so the {0,1} overlap exceeds a degree-1 table.
-  std::unique_ptr<ConfigurationEvaluator> no_compose =
-      MakeDecomposed(Decompose(/*compose=*/false));
-  ASSERT_TRUE(no_compose->Evaluate({0, 1}).ok());
-  BenefitTableStats stats = no_compose->benefit_table()->stats();
-  EXPECT_GT(stats.fallback_whatifs, 0u);
-  EXPECT_EQ(stats.composed, 0u);
-
+  // queries, so the {0,1} overlap exceeds a degree-1 table: a complete
+  // table scores it with the composed bound, never a what-if.
   std::unique_ptr<ConfigurationEvaluator> compose = MakeDecomposed(Decompose());
   ASSERT_TRUE(compose->Evaluate({0, 1}).ok());
-  stats = compose->benefit_table()->stats();
+  BenefitTableStats stats = compose->benefit_table()->stats();
   EXPECT_GT(stats.composed, 0u);
   EXPECT_EQ(stats.fallback_whatifs, 0u);
+
+  // A truncated table priced no subset at all for some classes, so those
+  // queries fall back to real what-if calls.
+  std::unique_ptr<ConfigurationEvaluator> truncated =
+      MakeDecomposed(Decompose(), /*threads=*/1, Deadline::AfterMillis(0));
+  ASSERT_TRUE(truncated->benefit_table()->truncated());
+  ASSERT_TRUE(truncated->Evaluate({0, 1}).ok());
+  stats = truncated->benefit_table()->stats();
+  EXPECT_GT(stats.fallback_whatifs, 0u);
 }
 
 TEST_F(BenefitDecompositionTest, DecomposedTraceCarriesTableStats) {

@@ -186,6 +186,42 @@ TEST_F(CostCacheTest, DisabledCacheCountsBypasses) {
   EXPECT_EQ(stats.bypasses, workload_.queries().size());
 }
 
+TEST_F(CostCacheTest, FiredTokenCancelsMissesWhoseRecordsAreAllCached) {
+  // {0, 5} is no memoized configuration, but after {0} and {5} every
+  // query's relevance signature under it is (candidate 5 serves only the
+  // @income query, candidate 0 none of it). A fired token must still
+  // cancel it, through Evaluate and EvaluateMany alike: the searches roll
+  // back on Cancelled, and an OK answer assembled purely from records
+  // would let them take one more step after their budget fired.
+  const std::vector<int> warm_a = {0};
+  const std::vector<int> warm_b = {5};
+  const std::vector<int> target = {0, 5};
+  Rig control = MakeRig(1, /*use_cost_cache=*/true);
+  ASSERT_TRUE(control.evaluator->Evaluate(warm_a).ok());
+  ASSERT_TRUE(control.evaluator->Evaluate(warm_b).ok());
+  uint64_t misses = control.evaluator->cost_stats().misses;
+  ASSERT_TRUE(control.evaluator->Evaluate(target).ok());
+  ASSERT_EQ(control.evaluator->cost_stats().misses, misses)
+      << "the target's records must all be cached";
+
+  for (bool batch : {false, true}) {
+    Rig rig = MakeRig(1, /*use_cost_cache=*/true);
+    ASSERT_TRUE(rig.evaluator->Evaluate(warm_a).ok());
+    ASSERT_TRUE(rig.evaluator->Evaluate(warm_b).ok());
+    CancelToken token = CancelToken::Cancellable();
+    rig.evaluator->set_cancel(token);
+    token.Cancel();
+    Result<ConfigurationEvaluator::Evaluation> result =
+        batch ? rig.evaluator->EvaluateMany({target}).front()
+              : rig.evaluator->Evaluate(target);
+    ASSERT_FALSE(result.ok()) << (batch ? "EvaluateMany" : "Evaluate");
+    EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+    // Memoized configurations still answer under the fired token.
+    EXPECT_TRUE(rig.evaluator->Evaluate(warm_a).ok());
+    EXPECT_TRUE(rig.evaluator->EvaluateMany({warm_b}).front().ok());
+  }
+}
+
 TEST_F(CostCacheTest, RepeatedQueriesShareCachedPlans) {
   // A workload with every query duplicated: fingerprint classes collapse
   // the duplicates, so the second copy of each query never misses.

@@ -369,6 +369,64 @@ TEST_F(ServerTest, AdviseBusyWhenNoCapacity) {
   EXPECT_EQ(*pong, OkResponse("pong\n"));
 }
 
+TEST_F(ServerTest, ConcurrentAdvisesSplitIntoOkAndBusy) {
+  Preload(3);
+  ServerOptions options;
+  options.workers = 4;
+  options.max_connections = 4;
+  options.max_inflight_advises = 1;
+  StartServer(options);
+
+  // Every what-if optimization sleeps, so the first advise holds the one
+  // admission slot for far longer than the other clients need to be
+  // turned away: the split does not depend on scheduling luck.
+  fp::FailSpec slow;
+  slow.code = StatusCode::kOk;
+  slow.latency_ms = 10;
+  const uint64_t trips_before = fp::Trips("advisor.whatif.optimize");
+  fp::ScopedFailpoint armed("advisor.whatif.optimize", slow);
+
+  constexpr int kClients = 4;
+  std::vector<BlockingClient> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(Connect());
+    ASSERT_TRUE(clients.back().Call("workload xmark").ok());
+  }
+  const std::string advise = "advise --budget-ms 20 48";
+  std::vector<std::string> replies(kClients);
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      if (i > 0) {
+        // The first advise is inside the advisor once it optimizes.
+        while (fp::Trips("advisor.whatif.optimize") == trips_before) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      Result<std::string> reply =
+          clients[static_cast<size_t>(i)].Call(advise);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      replies[static_cast<size_t>(i)] = std::move(*reply);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  int ok = 0;
+  int busy = 0;
+  for (const std::string& reply : replies) {
+    ResponseKind kind = ClassifyResponse(reply);
+    EXPECT_TRUE(kind == ResponseKind::kOk || kind == ResponseKind::kBusy)
+        << reply;
+    ok += kind == ResponseKind::kOk ? 1 : 0;
+    busy += kind == ResponseKind::kBusy ? 1 : 0;
+  }
+  EXPECT_GE(ok, 1);
+  EXPECT_GE(busy, 1);
+  // The slot holder gets its budgeted best-so-far answer.
+  EXPECT_EQ(ClassifyResponse(replies[0]), ResponseKind::kOk) << replies[0];
+}
+
 TEST_F(ServerTest, ConnectionBusyWhenFull) {
   ServerOptions options;
   options.workers = 1;
