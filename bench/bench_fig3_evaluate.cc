@@ -1,11 +1,11 @@
 // Figure 3: estimating the benefit of an index configuration — now as a
 // google-benchmark harness over the advisor's hot path, the what-if
-// evaluation of whole configurations. Each benchmark sweeps the thread
-// knob (arg 0) and the what-if cost cache toggle (arg 1), so
+// evaluation of whole configurations. The evaluator benchmarks sweep the
+// thread knob (arg 0) and the what-if cost cache toggle (arg 1); the
+// serial Evaluate Indexes mode sweeps the cache toggle alone. So
 // `--benchmark_format=json` output doubles as the CI perf artifact
-// tracking both the parallel speedup and the caching speedup of Evaluate
-// Indexes mode. Cache hit/miss/bypass counts surface as benchmark
-// counters.
+// tracking both the parallel speedup and the caching speedup. Cache
+// hit/miss/bypass counts surface as benchmark counters.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,6 @@
 
 #include "advisor/benefit.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "optimizer/explain.h"
 #include "workload/xmark_queries.h"
 #include "xmldata/xmark_gen.h"
@@ -162,22 +161,20 @@ BENCHMARK(BM_EvaluateManySingletons)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// The raw EXPLAIN mode (WhatIfSession::EvaluateWorkload path). The plan
-/// cache persists across iterations here, matching its real lifetime — a
-/// session cache carried across repeated workload evaluations — so
-/// cache-on steady state is nearly all hits.
+/// The raw EXPLAIN mode (WhatIfSession::EvaluateWorkload path), which
+/// prices queries serially. The plan cache persists across iterations
+/// here, matching its real lifetime — a session cache carried across
+/// repeated workload evaluations — so cache-on steady state is nearly all
+/// hits.
 void BM_EvaluateIndexesMode(benchmark::State& state) {
   Fixture& f = *SharedFixture();
-  int threads = static_cast<int>(state.range(0));
-  bool cache_on = state.range(1) != 0;
+  bool cache_on = state.range(0) != 0;
   ContainmentCache cache;
   WhatIfCostCache cost_cache(cache_on);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   for (auto _ : state) {
     auto result =
         EvaluateIndexesMode(*f.optimizer, f.workload.queries(), f.config_defs,
-                            f.catalog, &cache, pool.get(), &cost_cache);
+                            f.catalog, &cache, &cost_cache);
     XIA_CHECK(result.ok());
     benchmark::DoNotOptimize(result->total_weighted_cost);
   }
@@ -187,13 +184,9 @@ void BM_EvaluateIndexesMode(benchmark::State& state) {
   ReportCacheCounters(state, counters);
 }
 BENCHMARK(BM_EvaluateIndexesMode)
-    ->ArgNames({"threads", "cache"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({8, 1})
+    ->ArgNames({"cache"})
+    ->Arg(0)
+    ->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -81,14 +81,69 @@ void TraceDecomposition(const ConfigurationEvaluator& evaluator,
   if (!line.empty()) result->trace.push_back(std::move(line));
 }
 
-void FinishSearchTrace(const ConfigurationEvaluator& evaluator,
-                       SearchResult* result) {
-  result->trace.push_back("stats:");
-  for (const std::string& line :
-       evaluator.DeterministicStats().TextLines("  ")) {
-    result->trace.push_back(line);
+Result<std::vector<RankedCandidate>> RankSingletons(
+    ConfigurationEvaluator* evaluator, const SearchOptions& options,
+    SearchResult* result, StopReason* stop) {
+  const std::vector<CandidateIndex>& candidates = evaluator->candidates();
+  std::vector<std::vector<int>> singletons;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    singletons.push_back({static_cast<int>(i)});
   }
-  result->counters = evaluator.cache_counters();
+  std::vector<Result<ConfigurationEvaluator::Evaluation>> evals;
+  size_t scored =
+      EvaluateManyPrefix(evaluator, singletons, options, &evals, stop);
+  std::vector<RankedCandidate> ranked;
+  for (size_t i = 0; i < scored; ++i) {
+    if (!evals[i].ok() && evals[i].status().IsCancelled()) {
+      // The token fired while the batch was in flight: treat the
+      // candidate as unscored best-so-far material, not as a failure.
+      if (*stop == StopReason::kConverged) *stop = StopReason::kCancelled;
+      continue;
+    }
+    XIA_RETURN_IF_ERROR(evals[i].status());
+    double benefit = result->baseline_cost - evals[i]->TotalCost();
+    if (benefit <= 0) continue;
+    double size = candidates[i].size_bytes();
+    ranked.push_back(
+        {static_cast<int>(i), benefit, benefit / std::max(size, 1.0)});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankedCandidate& a, const RankedCandidate& b) {
+              return a.ratio > b.ratio;
+            });
+  if (*stop != StopReason::kConverged) {
+    TraceEarlyStop(*stop,
+                   "after scoring " + std::to_string(scored) + "/" +
+                       std::to_string(singletons.size()) + " candidates",
+                   result);
+  }
+  return ranked;
+}
+
+Result<SearchResult> FinishSearch(ConfigurationEvaluator* evaluator,
+                                  std::vector<int> chosen, StopReason stop,
+                                  SearchResult result, bool trace_final_size) {
+  XIA_ASSIGN_OR_RETURN(ConfigurationEvaluator::Evaluation final_eval,
+                       evaluator->EvaluateUngoverned(chosen));
+  result.total_size_bytes = ConfigSizeBytes(evaluator->candidates(), chosen);
+  result.chosen = std::move(chosen);
+  result.workload_cost = final_eval.workload_cost;
+  result.update_cost = final_eval.update_cost;
+  result.benefit = result.baseline_cost - final_eval.TotalCost();
+  result.stop_reason = stop;
+  result.evaluations = evaluator->num_evaluations();
+  if (trace_final_size) {
+    result.trace.push_back("final size " +
+                           FormatBytes(result.total_size_bytes) +
+                           ", benefit " + FormatDouble(result.benefit));
+  }
+  result.trace.push_back("stats:");
+  for (const std::string& line :
+       evaluator->DeterministicStats().TextLines("  ")) {
+    result.trace.push_back(line);
+  }
+  result.counters = evaluator->cache_counters();
+  return result;
 }
 
 Result<SearchResult> GreedySearch(ConfigurationEvaluator* evaluator,
@@ -100,45 +155,13 @@ Result<SearchResult> GreedySearch(ConfigurationEvaluator* evaluator,
 
   // Stand-alone benefit of each candidate — one what-if evaluation per
   // candidate, fanned out over the evaluator's thread pool in one batch.
-  struct Ranked {
-    int candidate;
-    double benefit;
-    double ratio;
-  };
-  std::vector<std::vector<int>> singletons;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    singletons.push_back({static_cast<int>(i)});
-  }
   StopReason stop = StopReason::kConverged;
-  std::vector<Result<ConfigurationEvaluator::Evaluation>> evals;
-  size_t scored =
-      EvaluateManyPrefix(evaluator, singletons, options, &evals, &stop);
-  std::vector<Ranked> ranked;
-  for (size_t i = 0; i < scored; ++i) {
-    if (!evals[i].ok() && evals[i].status().IsCancelled()) {
-      // The token fired while the batch was in flight: treat the
-      // candidate as unscored best-so-far material, not as a failure.
-      if (stop == StopReason::kConverged) stop = StopReason::kCancelled;
-      continue;
-    }
-    XIA_RETURN_IF_ERROR(evals[i].status());
-    double benefit = result.baseline_cost - evals[i]->TotalCost();
-    if (benefit <= 0) continue;
-    double size = candidates[i].size_bytes();
-    ranked.push_back(
-        {static_cast<int>(i), benefit, benefit / std::max(size, 1.0)});
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.ratio > b.ratio; });
-  if (stop != StopReason::kConverged) {
-    TraceEarlyStop(stop,
-                   "after scoring " + std::to_string(scored) + "/" +
-                       std::to_string(singletons.size()) + " candidates",
-                   &result);
-  }
+  XIA_ASSIGN_OR_RETURN(std::vector<RankedCandidate> ranked,
+                       RankSingletons(evaluator, options, &result, &stop));
 
+  std::vector<int> chosen;
   double used = 0;
-  for (const Ranked& r : ranked) {
+  for (const RankedCandidate& r : ranked) {
     double size = candidates[static_cast<size_t>(r.candidate)].size_bytes();
     if (used + size > options.space_budget_bytes) {
       result.trace.push_back("skip " +
@@ -148,26 +171,14 @@ Result<SearchResult> GreedySearch(ConfigurationEvaluator* evaluator,
       continue;
     }
     used += size;
-    result.chosen.push_back(r.candidate);
+    chosen.push_back(r.candidate);
     result.trace.push_back(
         "add  " +
         candidates[static_cast<size_t>(r.candidate)].def.pattern.ToString() +
         " benefit=" + FormatDouble(r.benefit) + " size=" +
         FormatBytes(size) + " used=" + FormatBytes(used));
   }
-
-  // Closing evaluation is ungoverned: the best-so-far configuration must
-  // be priced even when the stop was a cancellation.
-  XIA_ASSIGN_OR_RETURN(ConfigurationEvaluator::Evaluation final_eval,
-                       evaluator->EvaluateUngoverned(result.chosen));
-  result.total_size_bytes = used;
-  result.workload_cost = final_eval.workload_cost;
-  result.update_cost = final_eval.update_cost;
-  result.benefit = result.baseline_cost - final_eval.TotalCost();
-  result.stop_reason = stop;
-  result.evaluations = evaluator->num_evaluations();
-  FinishSearchTrace(*evaluator, &result);
-  return result;
+  return FinishSearch(evaluator, std::move(chosen), stop, std::move(result));
 }
 
 }  // namespace xia

@@ -91,12 +91,33 @@ size_t EvaluateManyPrefix(
 void TraceDecomposition(const ConfigurationEvaluator& evaluator,
                         SearchResult* result);
 
-/// Shared epilogue of every search strategy: fills `result->counters`
-/// and closes the trace with the structured stats section — the
-/// evaluator's deterministic obs::Snapshot (identical at any thread
-/// count; tests/parallel_eval_test.cc).
-void FinishSearchTrace(const ConfigurationEvaluator& evaluator,
-                       SearchResult* result);
+/// One candidate's stand-alone score (RankSingletons).
+struct RankedCandidate {
+  int candidate = -1;
+  double benefit = 0;  // Baseline cost minus the candidate-alone cost.
+  double ratio = 0;    // Benefit per byte.
+};
+
+/// Shared scoring step of both greedy strategies: prices every candidate
+/// alone in one EvaluateManyPrefix batch and returns those with positive
+/// benefit over `result->baseline_cost`, best benefit per byte first.
+/// Entries the budget cancelled mid-batch are skipped and set `*stop` to
+/// kCancelled; an early stop is traced.
+Result<std::vector<RankedCandidate>> RankSingletons(
+    ConfigurationEvaluator* evaluator, const SearchOptions& options,
+    SearchResult* result, StopReason* stop);
+
+/// Shared epilogue of every search strategy: prices `chosen` ungoverned
+/// (a best-so-far configuration is priced even after a cancellation),
+/// fills the result's configuration, cost, stop and counter fields,
+/// optionally traces "final size ..., benefit ...", and closes the trace
+/// with the structured stats section — the evaluator's deterministic
+/// obs::Snapshot (identical at any thread count;
+/// tests/parallel_eval_test.cc).
+Result<SearchResult> FinishSearch(ConfigurationEvaluator* evaluator,
+                                  std::vector<int> chosen, StopReason stop,
+                                  SearchResult result,
+                                  bool trace_final_size = false);
 
 }  // namespace xia
 

@@ -1,7 +1,5 @@
 #include "advisor/search_greedy_heuristic.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace xia {
@@ -14,46 +12,15 @@ Result<SearchResult> GreedyHeuristicSearch(ConfigurationEvaluator* evaluator,
   XIA_ASSIGN_OR_RETURN(result.baseline_cost, evaluator->BaselineCost());
 
   // Stand-alone benefits scored in one parallel what-if batch.
-  struct Ranked {
-    int candidate;
-    double benefit;
-    double ratio;
-  };
-  std::vector<std::vector<int>> singletons;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    singletons.push_back({static_cast<int>(i)});
-  }
   StopReason stop = StopReason::kConverged;
-  std::vector<Result<ConfigurationEvaluator::Evaluation>> evals;
-  size_t scored =
-      EvaluateManyPrefix(evaluator, singletons, options, &evals, &stop);
-  std::vector<Ranked> ranked;
-  for (size_t i = 0; i < scored; ++i) {
-    if (!evals[i].ok() && evals[i].status().IsCancelled()) {
-      if (stop == StopReason::kConverged) stop = StopReason::kCancelled;
-      continue;
-    }
-    XIA_RETURN_IF_ERROR(evals[i].status());
-    double benefit = result.baseline_cost - evals[i]->TotalCost();
-    if (benefit <= 0) continue;
-    double size = candidates[i].size_bytes();
-    ranked.push_back(
-        {static_cast<int>(i), benefit, benefit / std::max(size, 1.0)});
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.ratio > b.ratio; });
-  if (stop != StopReason::kConverged) {
-    TraceEarlyStop(stop,
-                   "after scoring " + std::to_string(scored) + "/" +
-                       std::to_string(singletons.size()) + " candidates",
-                   &result);
-  }
+  XIA_ASSIGN_OR_RETURN(std::vector<RankedCandidate> ranked,
+                       RankSingletons(evaluator, options, &result, &stop));
 
   std::vector<int> chosen;
   Bitmap covered(evaluator->exprs().size());
   double used = 0;
 
-  for (const Ranked& r : ranked) {
+  for (const RankedCandidate& r : ranked) {
     if (stop != StopReason::kConverged) break;  // Already traced above.
     stop = CheckInterrupt(options);
     if (stop != StopReason::kConverged) {
@@ -127,19 +94,8 @@ Result<SearchResult> GreedyHeuristicSearch(ConfigurationEvaluator* evaluator,
     covered = evaluator->CoverageOf(chosen);
   }
 
-  // Closing evaluation is ungoverned so the best-so-far configuration is
-  // priced even after a cancellation (memoized: free when already seen).
-  XIA_ASSIGN_OR_RETURN(ConfigurationEvaluator::Evaluation final_eval,
-                       evaluator->EvaluateUngoverned(chosen));
-  result.chosen = std::move(chosen);
-  result.total_size_bytes = ConfigSizeBytes(candidates, result.chosen);
-  result.workload_cost = final_eval.workload_cost;
-  result.update_cost = final_eval.update_cost;
-  result.benefit = result.baseline_cost - final_eval.TotalCost();
-  result.stop_reason = stop;
-  result.evaluations = evaluator->num_evaluations();
-  FinishSearchTrace(*evaluator, &result);
-  return result;
+  // The closing evaluation is memoized: free when already seen.
+  return FinishSearch(evaluator, std::move(chosen), stop, std::move(result));
 }
 
 }  // namespace xia

@@ -158,22 +158,8 @@ Result<SearchResult> TopDownSearch(const GeneralizationDag& dag,
                    &result);
   }
 
-  // Ungoverned closing evaluation: the result must be priced even when
-  // the stop was a cancellation.
-  XIA_ASSIGN_OR_RETURN(ConfigurationEvaluator::Evaluation final_eval,
-                       evaluator->EvaluateUngoverned(config));
-  result.chosen = std::move(config);
-  result.total_size_bytes = ConfigSizeBytes(candidates, result.chosen);
-  result.workload_cost = final_eval.workload_cost;
-  result.update_cost = final_eval.update_cost;
-  result.benefit = result.baseline_cost - final_eval.TotalCost();
-  result.stop_reason = stop;
-  result.evaluations = evaluator->num_evaluations();
-  result.trace.push_back("final size " +
-                         FormatBytes(result.total_size_bytes) + ", benefit " +
-                         FormatDouble(result.benefit));
-  FinishSearchTrace(*evaluator, &result);
-  return result;
+  return FinishSearch(evaluator, std::move(config), stop, std::move(result),
+                      /*trace_final_size=*/true);
 }
 
 }  // namespace xia

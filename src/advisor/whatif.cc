@@ -4,21 +4,15 @@
 
 #include "common/failpoint.h"
 #include "common/trace_span.h"
-#include "wlm/capture.h"
 
 namespace xia {
 
 WhatIfSession::WhatIfSession(const Database* db, Catalog base,
-                             CostModel cost_model, int threads,
-                             bool use_cost_cache)
+                             CostModel cost_model)
     : db_(db),
       catalog_(std::move(base)),
       cost_model_(cost_model),
-      optimizer_(db, cost_model),
-      cost_cache_(use_cost_cache) {
-  int resolved = ResolveThreadCount(threads);
-  if (resolved > 1) pool_ = std::make_unique<ThreadPool>(resolved);
-}
+      optimizer_(db, cost_model) {}
 
 Result<std::string> WhatIfSession::AddIndex(IndexDefinition def) {
   const PathSynopsis* synopsis = db_->synopsis(def.collection);
@@ -53,35 +47,7 @@ Result<EvaluateIndexesResult> WhatIfSession::EvaluateWorkload(
   // The shared cost cache carries plans across AddIndex/DropIndex edits:
   // only queries whose relevant-index set an edit changed re-optimize.
   return EvaluateIndexesMode(optimizer_, workload.queries(), {}, catalog_,
-                             &cache_, pool_.get(), &cost_cache_);
-}
-
-Result<QueryPlan> WhatIfSession::ExplainQuery(const Query& query) {
-  XIA_SPAN("whatif.explain_query");
-  if (!cost_cache_.enabled()) {
-    cost_cache_.AddBypasses(1);
-    Result<QueryPlan> plan = optimizer_.Optimize(query, catalog_, &cache_);
-    if (plan.ok() && wlm::CaptureEnabled()) {
-      wlm::MaybeCapture(query, plan->total_cost);
-    }
-    return plan;
-  }
-  const NormalizedQuery& nq = query.normalized;
-  std::string key = QueryFingerprint(nq);
-  key.push_back('\n');
-  key += RelevanceSignature(nq, catalog_.IndexesFor(nq.collection), &cache_);
-  QueryPlan cached;
-  if (cost_cache_.Lookup(key, &cached)) {
-    cached.query_id = query.id;
-    cached.query_text = query.text;
-    if (wlm::CaptureEnabled()) wlm::MaybeCapture(query, cached.total_cost);
-    return cached;
-  }
-  XIA_ASSIGN_OR_RETURN(QueryPlan plan,
-                       optimizer_.Optimize(query, catalog_, &cache_));
-  cost_cache_.Insert(key, plan);
-  if (wlm::CaptureEnabled()) wlm::MaybeCapture(query, plan.total_cost);
-  return plan;
+                             &cache_, &cost_cache_);
 }
 
 AdvisorCacheCounters WhatIfSession::cache_counters() const {

@@ -1,13 +1,11 @@
 #ifndef XIA_ADVISOR_WHATIF_H_
 #define XIA_ADVISOR_WHATIF_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "advisor/cost_cache.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "optimizer/explain.h"
 #include "optimizer/optimizer.h"
 #include "workload/workload.h"
@@ -24,20 +22,17 @@ namespace xia {
 /// session indexes or hide base-catalog ones; the base catalog is never
 /// modified.
 ///
-/// Evaluations consult a signature-keyed what-if cost cache shared across
-/// the session's lifetime: a query re-optimizes only when the set of
-/// overlay indexes that can serve it changed. The cache needs no
-/// invalidation hooks — keys embed the identities (names + statistics
-/// bits) of exactly the relevant indexes, so AddIndex/DropIndex naturally
-/// change the keys of affected queries and leave the rest hitting.
+/// Evaluations run Evaluate Indexes mode (EvaluateIndexesMode) over the
+/// overlay with a signature-keyed plan cache that lives as long as the
+/// session: a query re-optimizes only when the set of overlay indexes that
+/// can serve it changed. The cache needs no invalidation hooks — keys
+/// embed the identities (names + statistics bits) of exactly the relevant
+/// indexes, so AddIndex/DropIndex naturally change the keys of affected
+/// queries and leave the rest hitting.
 class WhatIfSession {
  public:
-  /// `db` must outlive the session; `base` is copied. `threads` is the
-  /// fan-out width for EvaluateWorkload: 1 keeps evaluation serial, 0
-  /// resolves to std::thread::hardware_concurrency(). `use_cost_cache`
-  /// disables the plan cache (results are bit-identical either way).
-  WhatIfSession(const Database* db, Catalog base, CostModel cost_model,
-                int threads = 1, bool use_cost_cache = true);
+  /// `db` must outlive the session; `base` is copied.
+  WhatIfSession(const Database* db, Catalog base, CostModel cost_model);
 
   /// Adds a hypothetical index. A blank name is auto-generated. Fails if
   /// the collection lacks statistics or the name collides.
@@ -48,9 +43,6 @@ class WhatIfSession {
 
   /// Estimated weighted cost of `workload` under the current overlay.
   Result<EvaluateIndexesResult> EvaluateWorkload(const Workload& workload);
-
-  /// Best plan for one query under the current overlay.
-  Result<QueryPlan> ExplainQuery(const Query& query);
 
   /// Names of indexes added during this session, in insertion order.
   const std::vector<std::string>& session_indexes() const {
@@ -69,7 +61,6 @@ class WhatIfSession {
   Optimizer optimizer_;
   ContainmentCache cache_;
   WhatIfCostCache cost_cache_;
-  std::unique_ptr<ThreadPool> pool_;  // Null when threads == 1.
   std::vector<std::string> session_indexes_;
 };
 

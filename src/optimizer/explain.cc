@@ -1,6 +1,5 @@
 #include "optimizer/explain.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -143,120 +142,51 @@ Result<Catalog> MakeVirtualOverlay(const Database& db,
 Result<EvaluateIndexesResult> EvaluateIndexesMode(
     const Optimizer& optimizer, const std::vector<Query>& queries,
     const std::vector<IndexDefinition>& config, const Catalog& base_catalog,
-    ContainmentCache* cache, ThreadPool* pool, WhatIfCostCache* cost_cache) {
+    ContainmentCache* cache, WhatIfCostCache* cost_cache) {
   XIA_ASSIGN_OR_RETURN(
       Catalog overlay,
       MakeVirtualOverlay(optimizer.db(), base_catalog, config,
                          optimizer.cost_model().storage));
-  // Optimize into per-query slots (the overlay and statistics are only
-  // read), then fold costs and use counts serially in query order so the
-  // result does not depend on scheduling.
-  std::vector<Result<QueryPlan>> plans(queries.size(),
-                                       Status::Internal("not evaluated"));
-  if (cost_cache != nullptr && cost_cache->enabled()) {
-    // Serial phase 1: resolve each distinct query against the plan cache
-    // by its (fingerprint, relevance signature) key and collect the
-    // misses. Equal fingerprints have equal signatures by definition, so
-    // repeated workload queries share one key and one cache probe; each
-    // repeat still counts as a hit or miss of its own. Keys here carry
-    // full entry identities (names + stats bits), so a cache outlives
-    // catalog edits without invalidation hooks.
-    struct QueryClass {
-      size_t query = 0;     // Representative query index.
-      std::string key;      // Cost-cache key.
-      bool cached = false;  // `plan` came from the cache.
-      QueryPlan plan;
-    };
-    std::map<std::string, std::vector<const CatalogEntry*>> indexes_for;
-    std::vector<QueryClass> classes;
-    std::unordered_map<std::string, size_t> class_by_fingerprint;
-    std::vector<size_t> class_of(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const NormalizedQuery& nq = queries[qi].normalized;
-      auto [it, fresh] = class_by_fingerprint.try_emplace(
-          QueryFingerprint(nq), classes.size());
-      class_of[qi] = it->second;
-      if (!fresh) {
-        cost_cache->CountLookup(classes[it->second].cached);
-        continue;
-      }
-      auto [coll_it, first_seen] = indexes_for.try_emplace(nq.collection);
-      if (first_seen) coll_it->second = overlay.IndexesFor(nq.collection);
-      QueryClass cls;
-      cls.query = qi;
-      cls.key = it->first;
-      cls.key.push_back('\n');
-      cls.key += RelevanceSignature(nq, coll_it->second, cache);
-      cls.cached = cost_cache->Lookup(cls.key, &cls.plan);
-      classes.push_back(std::move(cls));
-    }
-    std::vector<size_t> tasks;  // Indices of the uncached classes.
-    for (size_t c = 0; c < classes.size(); ++c) {
-      if (!classes[c].cached) tasks.push_back(c);
-    }
-    // Parallel phase 2: optimize the distinct misses against the full
-    // overlay. (The minimal-overlay trick the evaluator uses is an
-    // optimization, not a correctness requirement — the full overlay
-    // yields the same plan, since irrelevant entries produce no matches.)
-    std::vector<Result<QueryPlan>> task_plans(
-        tasks.size(), Status::Internal("not evaluated"));
-    // First-failure sibling cancellation: one bad task stops the batch,
-    // and the outcome (statuses AND cache inserts below) is deterministic
-    // at any thread count — exactly the tasks below the lowest failure
-    // complete.
-    ParallelForCancellable(
-        pool, tasks.size(),
-        [&](size_t ti) {
-          size_t query = classes[tasks[ti]].query;
-          task_plans[ti] = OptimizeQueryWithFailpoint(
-              optimizer, queries[query], query, overlay, cache);
-          return task_plans[ti].ok();
-        },
-        [&](size_t ti) {
-          task_plans[ti] = Status::Cancelled(
-              "cancelled: a lower-indexed what-if task failed first");
-        });
-    // Serial phase 3: memoize and distribute.
-    std::vector<const Result<QueryPlan>*> computed(classes.size(), nullptr);
-    for (size_t ti = 0; ti < tasks.size(); ++ti) {
-      if (task_plans[ti].ok()) {
-        cost_cache->Insert(classes[tasks[ti]].key, *task_plans[ti]);
-      }
-      computed[tasks[ti]] = &task_plans[ti];
-    }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const QueryClass& cls = classes[class_of[qi]];
-      if (cls.cached) {
-        plans[qi] = cls.plan;  // Equal key ⇒ bit-identical plan.
-      } else {
-        plans[qi] = *computed[class_of[qi]];
-      }
-      if (plans[qi].ok()) {
-        plans[qi]->query_id = queries[qi].id;
-        plans[qi]->query_text = queries[qi].text;
-      }
-    }
-  } else {
-    if (cost_cache != nullptr) cost_cache->AddBypasses(queries.size());
-    ParallelForCancellable(
-        pool, queries.size(),
-        [&](size_t qi) {
-          plans[qi] =
-              OptimizeQueryWithFailpoint(optimizer, queries[qi], qi, overlay,
-                                         cache);
-          return plans[qi].ok();
-        },
-        [&](size_t qi) {
-          plans[qi] = Status::Cancelled(
-              "cancelled: a lower-indexed what-if optimization failed first");
-        });
-  }
+  const bool memo = cost_cache != nullptr && cost_cache->enabled();
+  if (cost_cache != nullptr && !memo) cost_cache->AddBypasses(queries.size());
+  // Equal fingerprints receive bit-identical plans (cost_cache.h), so a
+  // repeated query copies the plan of its first occurrence; with the memo
+  // on it still counts as a hit or miss of its own.
+  struct FirstSeen {
+    size_t query = 0;
+    bool hit = false;  // The plan came from the memo.
+  };
+  std::unordered_map<std::string, FirstSeen> first_seen;
   EvaluateIndexesResult result;
   result.plans.reserve(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    XIA_RETURN_IF_ERROR(plans[qi].status());
-    QueryPlan plan = std::move(*plans[qi]);
-    result.total_weighted_cost += queries[qi].weight * plan.total_cost;
+    const Query& query = queries[qi];
+    const NormalizedQuery& nq = query.normalized;
+    auto [it, fresh] =
+        first_seen.try_emplace(QueryFingerprint(nq), FirstSeen{qi, false});
+    QueryPlan plan;
+    if (!fresh) {
+      if (memo) cost_cache->CountLookup(it->second.hit);
+      plan = result.plans[it->second.query];
+    } else {
+      // The memo key embeds the identities (names + stats bits) of the
+      // overlay entries that can serve the query, so a memo outlives
+      // catalog edits without invalidation hooks.
+      std::string key;
+      if (memo) {
+        key = it->first + '\n' +
+              RelevanceSignature(nq, overlay.IndexesFor(nq.collection), cache);
+        it->second.hit = cost_cache->Lookup(key, &plan);
+      }
+      if (!it->second.hit) {
+        XIA_ASSIGN_OR_RETURN(plan, OptimizeQueryWithFailpoint(
+                                       optimizer, query, qi, overlay, cache));
+        if (memo) cost_cache->Insert(key, plan);
+      }
+    }
+    plan.query_id = query.id;
+    plan.query_text = query.text;
+    result.total_weighted_cost += query.weight * plan.total_cost;
     if (plan.access.use_index) {
       result.index_use_counts[plan.access.index_def.name]++;
       if (plan.access.has_secondary) {

@@ -7,7 +7,6 @@
 
 #include "advisor/cost_cache.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "optimizer/optimizer.h"
 #include "query/query.h"
 #include "xpath/containment.h"
@@ -60,22 +59,24 @@ struct EvaluateIndexesResult {
 /// `base_catalog`), re-optimize every query, and report estimated costs
 /// and which indexes the plans actually use.
 ///
-/// With a non-null `pool` the per-query optimizations fan out over it;
-/// plans, costs, and use counts are merged in query order, so the result
-/// is identical to the serial (null-pool) run.
+/// Queries are priced serially in order, and each distinct query
+/// fingerprint (QueryFingerprint) is optimized at most once: a repeat
+/// copies its first occurrence's plan, relabeled with its own id and
+/// text. The first failing optimization's status is returned.
 ///
-/// With a non-null, enabled `cost_cache`, each query is first resolved by
-/// its (fingerprint, relevance signature) key: queries whose relevant
-/// overlay entries are unchanged since a previous call reuse the cached
-/// plan instead of re-optimizing, bit-identically (the signature embeds
-/// entry statistics, so AddIndex/DropIndex/RefreshStats between calls
-/// change keys and naturally miss). The caller owns the cache and its
-/// lifetime; it must be bound to this optimizer's database + cost model.
+/// With a non-null, enabled `cost_cache`, each distinct query is first
+/// resolved by its (fingerprint, relevance signature) key, and every query
+/// counts one hit or miss: queries whose relevant overlay entries are
+/// unchanged since a previous call reuse the cached plan instead of
+/// re-optimizing, bit-identically (the signature embeds entry statistics,
+/// so AddIndex/DropIndex/RefreshStats between calls change keys and
+/// naturally miss). A disabled cache counts one bypass per query. The
+/// caller owns the cache and its lifetime; it must be bound to this
+/// optimizer's database + cost model.
 Result<EvaluateIndexesResult> EvaluateIndexesMode(
     const Optimizer& optimizer, const std::vector<Query>& queries,
     const std::vector<IndexDefinition>& config, const Catalog& base_catalog,
-    ContainmentCache* cache, ThreadPool* pool = nullptr,
-    WhatIfCostCache* cost_cache = nullptr);
+    ContainmentCache* cache, WhatIfCostCache* cost_cache = nullptr);
 
 /// Builds a catalog overlay with `config` added as virtual indexes whose
 /// statistics are estimated from each collection's synopsis. Names that

@@ -154,18 +154,6 @@ void MaybeCapture(const QueryPlan& plan) {
   (void)log->Append(std::move(record));  // Lost records never fail queries.
 }
 
-void MaybeCapture(const Query& query, double est_cost) {
-  QueryLog* log = CaptureLog();
-  if (log == nullptr) return;
-  if (query.text.empty()) return;
-  CaptureRecord record;
-  record.timestamp_micros = NowMicros();
-  record.est_cost = est_cost;
-  record.text = query.text;
-  record.fingerprint = TemplateFingerprint(query);
-  (void)log->Append(std::move(record));
-}
-
 void MaybeCaptureDml(CaptureKind kind, const std::string& collection,
                      const std::string& pattern, double maintenance_work) {
   QueryLog* log = CaptureLog();

@@ -13,7 +13,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "optimizer/plan.h"
-#include "query/query.h"
 
 namespace xia {
 namespace wlm {
@@ -22,11 +21,11 @@ namespace wlm {
 /// it into an advisable weighted workload, and notice when the current
 /// index configuration has gone stale (see wlm/compress.h, wlm/drift.h).
 ///
-/// This header is the capture side: a bounded, sharded ring log fed by a
-/// hook on the query hot path. The hook follows the XIA_SPAN / failpoint
-/// discipline — disarmed (no log installed) it costs exactly one relaxed
-/// atomic load, so it can sit in Executor::Execute and the interactive
-/// what-if path unconditionally (verified by a bench_micro entry).
+/// This header is the capture side: a bounded, sharded ring log fed by
+/// hooks on the query and DML paths. The hooks follow the XIA_SPAN /
+/// failpoint discipline — disarmed (no log installed) they cost exactly
+/// one relaxed atomic load, so the query hook can sit in Executor::Execute
+/// unconditionally (verified by a bench_micro entry).
 
 /// What a capture record describes: a query execution or a DML statement
 /// (src/dml). The read/write mix of the captured stream is what makes
@@ -157,15 +156,11 @@ inline bool CaptureEnabled();
 /// capture failpoint or a missing query text only drops the record.
 void MaybeCapture(const QueryPlan& plan);
 
-/// Capture hook for call sites holding the query itself plus an estimated
-/// cost (the interactive what-if path). Same no-fail contract.
-void MaybeCapture(const Query& query, double est_cost);
-
 /// Capture hook for the DML path (server insert/delete/update verbs):
 /// records the mutation at pattern granularity — `pattern` is the
 /// affected document's root pattern (DmlResult::root_pattern) and
 /// `maintenance_work` the index entries touched. Same no-fail contract
-/// as the query hooks; `kind` must not be kQuery.
+/// as the query hook; `kind` must not be kQuery.
 void MaybeCaptureDml(CaptureKind kind, const std::string& collection,
                      const std::string& pattern, double maintenance_work);
 

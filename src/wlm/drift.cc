@@ -39,7 +39,7 @@ Result<double> DriftMonitor::CurrentCost(const Workload& workload,
   // workload nearly free (signatures change when the catalog does).
   Result<EvaluateIndexesResult> evaluated = EvaluateIndexesMode(
       optimizer, workload.queries(), /*config=*/{}, catalog, &cache_,
-      /*pool=*/nullptr, &cost_cache_);
+      &cost_cache_);
   if (!evaluated.ok()) return evaluated.status();
   return evaluated->total_weighted_cost;
 }

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "exec/executor.h"
 #include "index/index_builder.h"
+#include "optimizer/explain.h"
 #include "optimizer/optimizer.h"
 #include "query/parser.h"
 #include "xmldata/xmark_gen.h"
@@ -179,6 +182,13 @@ TEST_F(AndingTest, UsesIndexSeesBothProbes) {
   EXPECT_TRUE(plan->UsesIndex("q_idx"));
   EXPECT_TRUE(plan->UsesIndex("p_idx"));
   EXPECT_FALSE(plan->UsesIndex("other"));
+
+  // Evaluate Indexes mode counts the IXAND plan against both probes.
+  Result<EvaluateIndexesResult> evaluated = EvaluateIndexesMode(
+      opt, {Parse(kTwoPredicateQuery)}, {}, catalog_, &cache_);
+  ASSERT_TRUE(evaluated.ok());
+  const std::map<std::string, int> expected = {{"p_idx", 1}, {"q_idx", 1}};
+  EXPECT_EQ(evaluated->index_use_counts, expected);
 }
 
 TEST_F(AndingTest, SinglePredicateQueryNeverAnds) {

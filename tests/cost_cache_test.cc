@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,9 @@
 #include "advisor/benefit.h"
 #include "advisor/cost_cache.h"
 #include "advisor/whatif.h"
-#include "index/index_matcher.h"
+#include "common/failpoint.h"
 #include "common/random.h"
+#include "index/index_matcher.h"
 #include "optimizer/explain.h"
 #include "workload/tpox_queries.h"
 #include "workload/variation.h"
@@ -347,18 +349,20 @@ TEST_F(CostCacheTest, RecommendationsIdenticalWithAndWithoutCache) {
 }
 
 TEST_F(CostCacheTest, WhatIfSessionIdenticalAcrossCacheAndEdits) {
-  // Drive cached and uncached sessions through the same add/drop/evaluate
-  // script; every evaluation must coincide bit-for-bit, and the cached
-  // session must hit on re-evaluations (identity-carrying signatures make
-  // AddIndex/DropIndex self-invalidating — no explicit invalidation).
-  WhatIfSession cached(&db_, base_catalog_, cost_model_, 1,
-                       /*use_cost_cache=*/true);
-  WhatIfSession uncached(&db_, base_catalog_, cost_model_, 1,
-                         /*use_cost_cache=*/false);
+  // Drive a session through an add/drop/evaluate script; every evaluation
+  // must coincide bit-for-bit with an uncached Evaluate Indexes pass over
+  // the session's current overlay, and the session must hit on
+  // re-evaluations (identity-carrying signatures make AddIndex/DropIndex
+  // self-invalidating — no explicit invalidation).
+  WhatIfSession session(&db_, base_catalog_, cost_model_);
+  Optimizer optimizer(&db_, cost_model_);
+  ContainmentCache cache;
 
   auto expect_same_eval = [&]() {
-    Result<EvaluateIndexesResult> c = cached.EvaluateWorkload(workload_);
-    Result<EvaluateIndexesResult> u = uncached.EvaluateWorkload(workload_);
+    Result<EvaluateIndexesResult> c = session.EvaluateWorkload(workload_);
+    Result<EvaluateIndexesResult> u =
+        EvaluateIndexesMode(optimizer, workload_.queries(), {},
+                            session.catalog(), &cache, /*cost_cache=*/nullptr);
     ASSERT_TRUE(c.ok());
     ASSERT_TRUE(u.ok());
     EXPECT_EQ(c->total_weighted_cost, u->total_weighted_cost);
@@ -371,36 +375,23 @@ TEST_F(CostCacheTest, WhatIfSessionIdenticalAcrossCacheAndEdits) {
   };
 
   expect_same_eval();
-  uint64_t hits_before = cached.cache_counters().cost.hits;
+  uint64_t hits_before = session.cache_counters().cost.hits;
   expect_same_eval();  // Unchanged catalog: every query hits.
-  uint64_t hits_after = cached.cache_counters().cost.hits;
+  uint64_t hits_after = session.cache_counters().cost.hits;
   EXPECT_GE(hits_after - hits_before, workload_.queries().size());
 
   IndexDefinition def;
   def.collection = "xmark";
   def.pattern = P("/site/regions/*/item/quantity");
   def.type = ValueType::kDouble;
-  ASSERT_TRUE(cached.AddIndex(def).ok());
-  ASSERT_TRUE(uncached.AddIndex(def).ok());
+  ASSERT_TRUE(session.AddIndex(def).ok());
   expect_same_eval();  // Affected queries re-optimize, others hit.
 
-  ASSERT_TRUE(cached.DropIndex(cached.session_indexes().front()).ok());
-  ASSERT_TRUE(uncached.DropIndex(uncached.session_indexes().front()).ok());
-  hits_before = cached.cache_counters().cost.hits;
+  ASSERT_TRUE(session.DropIndex(session.session_indexes().front()).ok());
+  hits_before = session.cache_counters().cost.hits;
   expect_same_eval();  // Keys revert to the pre-add ones: all hits again.
-  hits_after = cached.cache_counters().cost.hits;
+  hits_after = session.cache_counters().cost.hits;
   EXPECT_GE(hits_after - hits_before, workload_.queries().size());
-
-  // ExplainQuery routes through the same cache.
-  Result<QueryPlan> first = cached.ExplainQuery(workload_.queries()[0]);
-  Result<QueryPlan> second = cached.ExplainQuery(workload_.queries()[0]);
-  Result<QueryPlan> fresh = uncached.ExplainQuery(workload_.queries()[0]);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(PlanFingerprint(*first), PlanFingerprint(*second));
-  EXPECT_EQ(PlanFingerprint(*first), PlanFingerprint(*fresh));
-  EXPECT_EQ(second->query_id, workload_.queries()[0].id);
 }
 
 TEST_F(CostCacheTest, EvaluateIndexesModeSharedCacheAcrossCalls) {
@@ -408,22 +399,32 @@ TEST_F(CostCacheTest, EvaluateIndexesModeSharedCacheAcrossCalls) {
   ContainmentCache cache;
   WhatIfCostCache cost_cache(/*enabled=*/true);
   std::vector<IndexDefinition> config = {candidates_[1].def};
+  // One query repeats: it is priced once but counted as its own lookup.
+  std::vector<Query> queries = workload_.queries();
+  queries.push_back(queries[1]);
+  queries.back().id = "Q2-repeat";
+  std::set<std::string> fingerprints;
+  for (const Query& q : queries) {
+    fingerprints.insert(QueryFingerprint(q.normalized));
+  }
+  ASSERT_LT(fingerprints.size(), queries.size());
 
-  Result<EvaluateIndexesResult> first =
-      EvaluateIndexesMode(optimizer, workload_.queries(), config,
-                          base_catalog_, &cache, nullptr, &cost_cache);
+  Result<EvaluateIndexesResult> first = EvaluateIndexesMode(
+      optimizer, queries, config, base_catalog_, &cache, &cost_cache);
   ASSERT_TRUE(first.ok());
   CostCacheStats stats = cost_cache.stats();
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
+  EXPECT_EQ(stats.misses, queries.size());
+  EXPECT_EQ(first->plans.back().query_id, "Q2-repeat");
+  EXPECT_EQ(PlanFingerprint(first->plans.back()),
+            PlanFingerprint(first->plans[1]));
 
-  Result<EvaluateIndexesResult> second =
-      EvaluateIndexesMode(optimizer, workload_.queries(), config,
-                          base_catalog_, &cache, nullptr, &cost_cache);
+  Result<EvaluateIndexesResult> second = EvaluateIndexesMode(
+      optimizer, queries, config, base_catalog_, &cache, &cost_cache);
   ASSERT_TRUE(second.ok());
   // Same overlay: every query resolves from the cache, bit-identically.
-  EXPECT_EQ(cost_cache.stats().hits - stats.hits,
-            workload_.queries().size());
+  EXPECT_EQ(cost_cache.stats().hits - stats.hits, queries.size());
+  EXPECT_EQ(cost_cache.stats().misses, stats.misses);
   EXPECT_EQ(first->total_weighted_cost, second->total_weighted_cost);
   EXPECT_EQ(first->index_use_counts, second->index_use_counts);
   for (size_t i = 0; i < first->plans.size(); ++i) {
@@ -431,11 +432,16 @@ TEST_F(CostCacheTest, EvaluateIndexesModeSharedCacheAcrossCalls) {
               PlanFingerprint(second->plans[i]));
   }
 
-  // A null cache pointer is the legacy path and stays valid.
-  Result<EvaluateIndexesResult> bare =
-      EvaluateIndexesMode(optimizer, workload_.queries(), config,
-                          base_catalog_, &cache, nullptr, nullptr);
+  // Without a cache each distinct fingerprint is still optimized once.
+  fp::FailSpec count_only;
+  count_only.code = StatusCode::kOk;  // Latency-only: counts trips.
+  fp::ScopedFailpoint armed("advisor.whatif.optimize", count_only);
+  const uint64_t trips_before = fp::Trips("advisor.whatif.optimize");
+  Result<EvaluateIndexesResult> bare = EvaluateIndexesMode(
+      optimizer, queries, config, base_catalog_, &cache, nullptr);
   ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(fp::Trips("advisor.whatif.optimize") - trips_before,
+            fingerprints.size());
   EXPECT_EQ(bare->total_weighted_cost, first->total_weighted_cost);
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "advisor/advisor.h"
-#include "advisor/whatif.h"
 #include "common/metrics.h"
 #include "dml/dml.h"
 #include "exec/executor.h"
@@ -283,9 +282,12 @@ TEST_F(DmlTest, DmlCaptureRoundTripsThroughVersionedLogFormat) {
     wlm::MaybeCaptureDml(wlm::CaptureKind::kInsert, "xmark", "/site", 12.0);
     wlm::MaybeCaptureDml(wlm::CaptureKind::kDelete, "xmark", "/site", 8.0);
     wlm::MaybeCaptureDml(wlm::CaptureKind::kUpdate, "xmark", "/site", 20.0);
-    wlm::MaybeCapture(Parse("for $i in doc(\"xmark\")/site/regions/africa/"
-                            "item where $i/quantity > 5 return $i/name"),
-                      3.0);
+    Result<QueryPlan> plan = Optimizer(&db_, cost_model_).Optimize(
+        Parse("for $i in doc(\"xmark\")/site/regions/africa/"
+              "item where $i/quantity > 5 return $i/name"),
+        catalog_, &cache_);
+    ASSERT_TRUE(plan.ok());
+    wlm::MaybeCapture(*plan);
   }
   std::vector<wlm::CaptureRecord> records = log.Snapshot();
   ASSERT_EQ(records.size(), 4u);
@@ -387,17 +389,22 @@ TEST_F(DmlTest, WriteHeavyCaptureWindowDropsIndexesViaDriftReadvising) {
       "where $o/current > 100 return $o",
   };
 
-  // Read-heavy window: queries only, captured through the what-if path.
+  // Captures one optimized plan per template through the plan hook.
+  Optimizer optimizer(&db_, cost_model_);
+  auto capture_templates = [&] {
+    for (const std::string& text : templates) {
+      Result<QueryPlan> plan =
+          optimizer.Optimize(Parse(text), catalog_, &cache_);
+      ASSERT_TRUE(plan.ok());
+      wlm::MaybeCapture(*plan);
+    }
+  };
+
+  // Read-heavy window: queries only.
   wlm::QueryLog read_log(4096);
   {
     wlm::ScopedCaptureLog armed(&read_log);
-    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                          /*use_cost_cache=*/true);
-    for (int round = 0; round < 10; ++round) {
-      for (const std::string& text : templates) {
-        ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
-      }
-    }
+    for (int round = 0; round < 10; ++round) capture_templates();
   }
   Result<wlm::CompressedWorkload> read_mix =
       wlm::CompressLog(read_log.Snapshot());
@@ -428,11 +435,7 @@ TEST_F(DmlTest, WriteHeavyCaptureWindowDropsIndexesViaDriftReadvising) {
       wlm::MaybeCaptureDml(wlm::CaptureKind::kDelete, "xmark", "/site",
                            50.0);
     }
-    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                          /*use_cost_cache=*/true);
-    for (const std::string& text : templates) {
-      ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
-    }
+    capture_templates();
   }
   Result<wlm::CompressedWorkload> write_mix =
       wlm::CompressLog(write_log.Snapshot());

@@ -289,7 +289,7 @@ TEST_F(FailpointTest, IndexBuilderHookFires) {
 
 TEST_F(FailpointTest, WhatIfEvaluateWorkloadHookFires) {
   Database db;
-  WhatIfSession session(&db, Catalog{}, CostModel{}, /*threads=*/1);
+  WhatIfSession session(&db, Catalog{}, CostModel{});
   fp::FailSpec spec;
   spec.code = StatusCode::kResourceExhausted;
   fp::ScopedFailpoint armed("advisor.whatif.evaluate_workload", spec);

@@ -14,7 +14,6 @@
 
 #include "advisor/advisor.h"
 #include "advisor/benefit.h"
-#include "advisor/whatif.h"
 #include "common/failpoint.h"
 #include "storage/collection_io.h"
 #include "workload/workload_io.h"
@@ -285,28 +284,6 @@ TEST_F(ParallelEvalTest, InjectedWriteFailureLeavesNoTornFiles) {
     }
   }
   fs::remove_all(dir);
-}
-
-TEST_F(ParallelEvalTest, WhatIfSessionIdenticalAcrossThreads) {
-  EvaluateIndexesResult results[2];
-  int thread_counts[2] = {1, 4};
-  for (int t = 0; t < 2; ++t) {
-    WhatIfSession session(&db_, base_catalog_, cost_model_, thread_counts[t]);
-    IndexDefinition def;
-    def.collection = "xmark";
-    def.pattern = P("/site/regions/*/item/quantity");
-    def.type = ValueType::kDouble;
-    ASSERT_TRUE(session.AddIndex(def).ok());
-    Result<EvaluateIndexesResult> r = session.EvaluateWorkload(workload_);
-    ASSERT_TRUE(r.ok());
-    results[t] = std::move(*r);
-  }
-  EXPECT_EQ(results[0].total_weighted_cost, results[1].total_weighted_cost);
-  EXPECT_EQ(results[0].index_use_counts, results[1].index_use_counts);
-  ASSERT_EQ(results[0].plans.size(), results[1].plans.size());
-  for (size_t i = 0; i < results[0].plans.size(); ++i) {
-    EXPECT_EQ(results[0].plans[i].total_cost, results[1].plans[i].total_cost);
-  }
 }
 
 }  // namespace

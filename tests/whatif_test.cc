@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "advisor/whatif.h"
-#include "query/parser.h"
 #include "workload/xmark_queries.h"
 #include "xmldata/xmark_gen.h"
 #include "xpath/parser.h"
@@ -74,15 +73,19 @@ TEST_F(WhatIfTest, ExplainSeesSessionIndexes) {
                   .AddIndex(Def("/site/regions/africa/item/quantity",
                                 ValueType::kDouble, "my_idx"))
                   .ok());
-  Result<Query> query = ParseQuery(
-      "for $i in doc(\"xmark\")/site/regions/africa/item "
-      "where $i/quantity > 5 return $i/name");
-  ASSERT_TRUE(query.ok());
-  Result<QueryPlan> plan = session.ExplainQuery(*query);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(plan->access.use_index);
-  EXPECT_EQ(plan->access.index_def.name, "my_idx");
-  EXPECT_TRUE(plan->access.index_is_virtual);
+  Workload workload;
+  ASSERT_TRUE(workload
+                  .AddQueryText("for $i in doc(\"xmark\")/site/regions/"
+                                "africa/item where $i/quantity > 5 "
+                                "return $i/name")
+                  .ok());
+  Result<EvaluateIndexesResult> result = session.EvaluateWorkload(workload);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->plans.size(), 1u);
+  const QueryPlan& plan = result->plans[0];
+  ASSERT_TRUE(plan.access.use_index);
+  EXPECT_EQ(plan.access.index_def.name, "my_idx");
+  EXPECT_TRUE(plan.access.index_is_virtual);
 }
 
 TEST_F(WhatIfTest, AutoNamesAvoidCollisions) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "advisor/advisor.h"
-#include "advisor/whatif.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "exec/executor.h"
@@ -217,25 +216,6 @@ TEST_F(CaptureHookTest, ExecutorCapturesTextFingerprintAndCost) {
   // Disarmed: the same execution captures nothing.
   ASSERT_TRUE(executor.Execute(*plan).ok());
   EXPECT_EQ(log.Snapshot().size(), 1u);
-}
-
-TEST_F(CaptureHookTest, WhatIfPathCapturesIncludingCacheHits) {
-  const std::string text =
-      "for $i in doc(\"xmark\")/site/regions/africa/item "
-      "where $i/quantity > 5 return $i/name";
-  WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                        /*use_cost_cache=*/true);
-  QueryLog log(64);
-  ScopedCapture armed(&log);
-  ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
-  // Second EXPLAIN hits the cost cache — the capture hook must still see
-  // it: repeated executions are exactly what frequency weights measure.
-  ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
-  std::vector<CaptureRecord> snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].text, text);
-  EXPECT_EQ(snap[0].fingerprint, snap[1].fingerprint);
-  EXPECT_DOUBLE_EQ(snap[0].est_cost, snap[1].est_cost);
 }
 
 TEST_F(CaptureHookTest, CaptureFailureNeverFailsTheQuery) {
@@ -548,17 +528,20 @@ TEST_F(WlmAdvisingTest, CompressedAdvisingMatchesHandWeightedWorkload) {
       "where $o/current > 100 return $o",
   };
 
-  // Capture each query 10× through the what-if path.
+  // Capture each query's optimized plan 10× through the plan hook.
   QueryLog log(4096);
   uint64_t captured_before =
       obs::Registry().TakeSnapshot().counter("wlm.captured");
   {
     ScopedCapture armed(&log);
-    WhatIfSession session(&db_, catalog_, cost_model_, /*threads=*/1,
-                          /*use_cost_cache=*/true);
+    Optimizer optimizer(&db_, cost_model_);
+    ContainmentCache cache;
     for (int round = 0; round < 10; ++round) {
       for (const std::string& text : templates) {
-        ASSERT_TRUE(session.ExplainQuery(Parse(text)).ok());
+        Result<QueryPlan> plan =
+            optimizer.Optimize(Parse(text), catalog_, &cache);
+        ASSERT_TRUE(plan.ok());
+        MaybeCapture(*plan);
       }
     }
   }
